@@ -7,28 +7,28 @@ maximizing first-link bandwidth over total path bandwidth. A harness runs
 both optimizers over iteration-budget grids and emits comparison reports.
 """
 
-from .encoding import (DeadEnd, DecodeParams, NoPathFound, Path, decode,
-                       eligible_neighbors, heuristic_allows, random_priorities)
+from .encoding import (DeadEnd, DecodeParams, InvalidPath, NoPathFound, Path, decode,
+                       eligible_neighbors, heuristic_allows, path_fitness, random_priorities)
+from .errors import InvalidConfig
 from .ga import (GaParams, GaResult, crossover_one_point, crossover_two_point,
-                 mutate_adjacent_swap, mutate_swap, run_ga, select_parents)
-from .harness import (ExperimentConfig, InvalidConfig, IterationRecord, OracleTooLarge,
-                      Report, brute_force_best, compare, emit, render_csv, render_json)
-from .pso import (InvalidPath, Particle, PsoParams, PsoResult, Swarm, init_swarm,
-                  path_fitness, run_pso)
-from .topology import (InvalidBandwidthRange, InvalidNodeCount, Link, Network,
-                       RegionLayout, assign_bandwidths, build_network,
-                       generate_topology, partition_regions, perturb_bandwidths)
+                 mutate_adjacent_swap, mutate_swap, run_ga)
+from .harness import (ExperimentConfig, IterationRecord, OracleTooLarge, Report,
+                      brute_force_best, compare, render_csv, render_json)
+from .pso import Particle, PsoParams, PsoResult, Swarm, init_swarm, run_pso
+from .topology import (InvalidBandwidthRange, InvalidNodeCount, Network, RegionLayout,
+                       assign_bandwidths, build_network, generate_topology, partition_regions,
+                       perturb_bandwidths)
 
 __all__ = [
-    "DeadEnd", "DecodeParams", "NoPathFound", "Path", "decode",
-    "eligible_neighbors", "heuristic_allows", "random_priorities",
+    "DeadEnd", "DecodeParams", "InvalidPath", "NoPathFound", "Path", "decode",
+    "eligible_neighbors", "heuristic_allows", "path_fitness", "random_priorities",
+    "InvalidConfig",
     "GaParams", "GaResult", "crossover_one_point", "crossover_two_point",
-    "mutate_adjacent_swap", "mutate_swap", "run_ga", "select_parents",
-    "ExperimentConfig", "InvalidConfig", "IterationRecord", "OracleTooLarge",
-    "Report", "brute_force_best", "compare", "emit", "render_csv", "render_json",
-    "InvalidPath", "Particle", "PsoParams", "PsoResult", "Swarm", "init_swarm",
-    "path_fitness", "run_pso",
-    "InvalidBandwidthRange", "InvalidNodeCount", "Link", "Network", "RegionLayout",
+    "mutate_adjacent_swap", "mutate_swap", "run_ga",
+    "ExperimentConfig", "IterationRecord", "OracleTooLarge", "Report",
+    "brute_force_best", "compare", "render_csv", "render_json",
+    "Particle", "PsoParams", "PsoResult", "Swarm", "init_swarm", "run_pso",
+    "InvalidBandwidthRange", "InvalidNodeCount", "Network", "RegionLayout",
     "assign_bandwidths", "build_network", "generate_topology", "partition_regions",
     "perturb_bandwidths",
 ]

@@ -3,7 +3,9 @@
 Subcommands: `generate` (emit a network as JSON), `run-pso` / `run-ga`
 (single optimization runs, JSON result), `compare` (full budget-grid
 experiment, CSV or JSON), `oracle` (brute-force best path on small
-networks). Exit codes: 0 success, 2 invalid configuration, 3 no path found.
+networks). Exit codes: 0 success, 2 invalid configuration (including an
+unwritable --out path), 3 no path found. Input rules live with the modules
+that own the values; the CLI only parses and maps errors to exit codes.
 """
 
 import argparse
@@ -11,9 +13,10 @@ import json
 import sys
 
 from .encoding import NoPathFound
+from .errors import InvalidConfig
 from .ga import GaParams, run_ga
-from .harness import (DEFAULT_ORACLE_CAP, ExperimentConfig, InvalidConfig,
-                      brute_force_best, compare, render_csv, render_json)
+from .harness import (DEFAULT_ORACLE_CAP, ExperimentConfig, brute_force_best, compare,
+                      render_csv, render_json)
 from .pso import PsoParams, run_pso
 from .topology import (DEFAULT_BANDWIDTH_RANGE, DEFAULT_INTER_DENSITY,
                        DEFAULT_INTRA_DENSITY, build_network)
@@ -66,8 +69,6 @@ def _parse_budgets(text):
         budgets = tuple(int(part) for part in text.split(","))
     else:
         budgets = (int(text),)
-    if not budgets:
-        raise InvalidConfig(f"empty budget list {text!r}")
     return budgets
 
 
@@ -121,16 +122,8 @@ def build_parser():
     return parser
 
 
-def _check_run_args(args):
-    if args.seed < 0:
-        raise InvalidConfig(f"seed must be non-negative, got {args.seed}")
-    if args.dest is None:
-        args.dest = args.nodes - 1
-    if args.source == args.dest:
-        raise InvalidConfig("source and destination must differ")
-    for label, node in (("source", args.source), ("destination", args.dest)):
-        if not 0 <= node < args.nodes:
-            raise InvalidConfig(f"{label} {node} outside node range 0..{args.nodes - 1}")
+def _dest(args):
+    return args.nodes - 1 if args.dest is None else args.dest
 
 
 def _build_network(args):
@@ -138,87 +131,79 @@ def _build_network(args):
                          not args.no_ensure_connected, args.bandwidth_min, args.bandwidth_max)
 
 
+def _ga_params(args, **extra):
+    return GaParams(pop_size=args.population, crossover_kind=CROSSOVER_KINDS[args.crossover],
+                    crossover_prob=args.crossover_prob,
+                    mutation_kind=MUTATION_KINDS[args.mutation],
+                    mutation_prob=args.mutation_prob, elitism=not args.no_elitism, **extra)
+
+
+def _bandwidth_mode(args):
+    return "dynamic" if args.dynamic_bandwidth else "static"
+
+
 def _output(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "wb") as fh:
             fh.write(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
+def _output_json(payload, out_path):
+    _output(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def cmd_generate(args):
-    if args.seed < 0:
-        raise InvalidConfig(f"seed must be non-negative, got {args.seed}")
-    net = _build_network(args)
-    _output(json.dumps(net.to_json(), indent=2) + "\n", args.out)
-    return EXIT_OK
+    _output_json(_build_network(args).to_json(), args.out)
 
 
 def cmd_run_pso(args):
-    _check_run_args(args)
-    net = _build_network(args)
     params = PsoParams(n_particles=args.particles, iterations=args.iterations,
-                       bandwidth_mode="dynamic" if args.dynamic_bandwidth else "static")
-    result = run_pso(net, args.source, args.dest, params, args.seed)
-    _output(json.dumps(result.to_json(), indent=2) + "\n", args.out)
-    return EXIT_OK
+                       bandwidth_mode=_bandwidth_mode(args))
+    result = run_pso(_build_network(args), args.source, _dest(args), params, args.seed)
+    _output_json(result.to_json(), args.out)
 
 
 def cmd_run_ga(args):
-    _check_run_args(args)
-    net = _build_network(args)
-    params = GaParams(pop_size=args.population, kmax=args.iterations,
-                      crossover_kind=CROSSOVER_KINDS[args.crossover],
-                      crossover_prob=args.crossover_prob,
-                      mutation_kind=MUTATION_KINDS[args.mutation],
-                      mutation_prob=args.mutation_prob,
-                      elitism=not args.no_elitism)
-    result = run_ga(net, args.source, args.dest, params, args.seed)
-    _output(json.dumps(result.to_json(), indent=2) + "\n", args.out)
-    return EXIT_OK
+    params = _ga_params(args, kmax=args.iterations)
+    result = run_ga(_build_network(args), args.source, _dest(args), params, args.seed)
+    _output_json(result.to_json(), args.out)
 
 
 def cmd_compare(args):
-    if args.dest is None:
-        args.dest = args.nodes - 1
     config = ExperimentConfig(
         n_nodes=args.nodes, seed=args.seed, source=args.source, destination=args.dest,
         budgets=_parse_budgets(args.budgets), trials=args.trials,
-        pso=PsoParams(n_particles=args.particles),
-        ga=GaParams(pop_size=args.population,
-                    crossover_kind=CROSSOVER_KINDS[args.crossover],
-                    crossover_prob=args.crossover_prob,
-                    mutation_kind=MUTATION_KINDS[args.mutation],
-                    mutation_prob=args.mutation_prob,
-                    elitism=not args.no_elitism),
-        bandwidth_mode="dynamic" if args.dynamic_bandwidth else "static",
+        pso=PsoParams(n_particles=args.particles), ga=_ga_params(args),
+        bandwidth_mode=_bandwidth_mode(args),
         intra_density=args.intra_density, inter_density=args.inter_density,
         b_min=args.bandwidth_min, b_max=args.bandwidth_max,
         ensure_connected=not args.no_ensure_connected,
-        fixed_topology=args.fixed_topology, output_format=args.format)
+        fixed_topology=args.fixed_topology)
     report = compare(config)
-    text = render_csv(report) if args.format == "csv" else render_json(report)
-    _output(text, args.out)
+    _output(render_csv(report) if args.format == "csv" else render_json(report), args.out)
     print("verdicts: pso_mean_fitness_ge_ga={} pso_mean_ms_le_ga={}".format(
         report.verdicts["pso_mean_fitness_ge_ga"], report.verdicts["pso_mean_ms_le_ga"]),
         file=sys.stderr)
-    return EXIT_OK
 
 
 def cmd_oracle(args):
-    _check_run_args(args)
-    net = _build_network(args)
-    path, fitness = brute_force_best(net, args.source, args.dest, cap=args.cap)
-    payload = {"path": list(path.nodes), "fitness": fitness, "hops": path.hop_count}
-    _output(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK
+    path, fitness = brute_force_best(_build_network(args), args.source, _dest(args),
+                                     cap=args.cap)
+    _output_json({"path": list(path.nodes), "fitness": fitness, "hops": path.hop_count},
+                 args.out)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except NoPathFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PATH

@@ -1,21 +1,27 @@
-"""Decode node-priority vectors into loop-free source-to-destination paths.
+"""Decode and score node-priority vectors: the evaluator PSO and GA share.
 
 A priority vector assigns one real value per node. Decoding starts at the
 source and repeatedly appends the eligible neighbor with the highest
 priority. Appended nodes get their working priority overwritten with a
 sentinel so no node repeats, and a sliding id window filters out neighbors
 that would walk the path backwards through the id space. The destination,
-once adjacent, is always eligible.
+once adjacent, is always eligible. A decoded path scores first-link
+bandwidth over total path bandwidth; `evaluate` decodes and scores a whole
+population, `draw_population` draws a decodable initial one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .rng import PRIORITY, make_rng
 
 # Working-copy marker for already-selected nodes; reserved, never a real priority.
 SENTINEL_PRIORITY = -999.0
+
+# Priority re-draws allowed per vector before giving up on a node pair.
+MAX_DRAWS = 50
 
 
 class DeadEnd(Exception):
@@ -28,6 +34,10 @@ class DeadEnd(Exception):
             f"no eligible neighbor at node {self.partial_path[-1]} "
             f"before reaching {destination} (partial path {list(self.partial_path)})"
         )
+
+
+class InvalidPath(ValueError):
+    """Path unusable for fitness evaluation (no links, or a missing link)."""
 
 
 class NoPathFound(Exception):
@@ -76,21 +86,27 @@ class Path:
 
 @dataclass(frozen=True)
 class DecodeParams:
-    """window: id-distance bound of the backtracking filter (>= 1).
-    max_retries: priority re-draws allowed before giving up on a node pair.
-    """
+    """window: id-distance bound of the backtracking filter (>= 1)."""
 
     window: int
-    max_retries: int = 50
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
     @classmethod
-    def for_network(cls, network, max_retries=50) -> "DecodeParams":
+    def for_network(cls, network) -> "DecodeParams":
         """Window set to the network's base region size."""
-        return cls(window=network.layout.base_region_size, max_retries=max_retries)
+        return cls(window=network.layout.base_region_size)
+
+
+def check_endpoints(n_nodes, source, destination):
+    if source == destination:
+        raise InvalidConfig("source and destination must differ")
+    if not (0 <= source < n_nodes and 0 <= destination < n_nodes):  # decode's hot path
+        label, node = (("destination", destination) if 0 <= source < n_nodes
+                       else ("source", source))
+        raise InvalidConfig(f"{label} {node} outside node range 0..{n_nodes - 1}")
 
 
 def heuristic_allows(source, destination, terminal, candidate, window) -> bool:
@@ -134,10 +150,7 @@ def decode(network, priorities, source, destination, params: DecodeParams | None
     """
     n = network.n_nodes
     source, destination = int(source), int(destination)
-    if source == destination:
-        raise ValueError("source and destination must differ")
-    if not (0 <= source < n and 0 <= destination < n):
-        raise ValueError(f"endpoints ({source}, {destination}) outside node range 0..{n - 1}")
+    check_endpoints(n, source, destination)
     pri = np.asarray(priorities, dtype=float)
     if pri.shape != (n,):
         raise ValueError(f"priority vector shape {pri.shape} does not match {n} nodes")
@@ -167,13 +180,64 @@ def random_priorities(n_nodes, seed) -> np.ndarray:
 def draw_valid_priorities(network, source, destination, params: DecodeParams, rng):
     """Draw priority vectors from `rng` until one decodes to a path.
 
-    Returns (priorities, path). Raises NoPathFound once params.max_retries
-    draws have all dead-ended.
+    Returns (priorities, path). Raises NoPathFound once MAX_DRAWS draws
+    have all dead-ended.
     """
-    for _ in range(params.max_retries):
+    for _ in range(MAX_DRAWS):
         pri = rng.random(network.n_nodes)
         try:
             return pri, decode(network, pri, source, destination, params)
         except DeadEnd:
             continue
-    raise NoPathFound(source, destination, attempts=params.max_retries)
+    raise NoPathFound(source, destination, attempts=MAX_DRAWS)
+
+
+def path_fitness(network, path: Path) -> float:
+    """First-link bandwidth over the summed bandwidth of all links on the path.
+
+    Always in (0, 1]; exactly 1.0 for single-link paths.
+    """
+    try:
+        bws = [network.bandwidth(u, v) for u, v in path.links()]
+    except KeyError as exc:
+        raise InvalidPath(f"path {path} uses a link missing from the network") from exc
+    if not bws:
+        raise InvalidPath("path has no links")
+    return bws[0] / sum(bws)
+
+
+def evaluate(network, vectors, source, destination, dparams: DecodeParams):
+    """Decode and score every priority vector; returns (fitnesses, paths).
+
+    A vector that dead-ends scores 0.0 with path None.
+    """
+    fits, paths = [], []
+    for vec in vectors:
+        try:
+            path = decode(network, vec, source, destination, dparams)
+        except DeadEnd:
+            fits.append(0.0)
+            paths.append(None)
+            continue
+        fits.append(path_fitness(network, path))
+        paths.append(path)
+    return fits, paths
+
+
+def draw_population(network, size, source, destination, dparams: DecodeParams, rng):
+    """`size` decodable priority vectors drawn from `rng`, with their
+    fitnesses and paths: (vectors, fitnesses, paths).
+
+    Raises NoPathFound if a vector exhausts its MAX_DRAWS draws.
+    """
+    vectors, paths = [], []
+    for _ in range(size):
+        vec, path = draw_valid_priorities(network, source, destination, dparams, rng)
+        vectors.append(vec)
+        paths.append(path)
+    return vectors, [path_fitness(network, path) for path in paths], paths
+
+
+def first_max(values) -> int:
+    """Index of the largest value; ties go to the earliest index."""
+    return max(range(len(values)), key=values.__getitem__)

@@ -1,8 +1,8 @@
 """Generational genetic algorithm over priority-vector chromosomes.
 
 Chromosomes are the same priority vectors the swarm optimizer uses, decoded
-and scored by the identical fitness function, so both optimizers compare on
-equal footing. Selection is roulette-wheel over fitness; crossover is one-
+and scored by the same evaluator in `encoding`, so both optimizers compare
+on equal footing. Selection is roulette-wheel over fitness; crossover is one-
 or two-point tail/segment exchange at 1-indexed cut positions; mutation
 swaps two gene positions (arbitrary or adjacent).
 """
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import DeadEnd, DecodeParams, Path, decode, draw_valid_priorities
-from .pso import path_fitness
+from .encoding import DecodeParams, Path, draw_population, evaluate, first_max
 from .rng import GA_INIT, GA_OPS, GA_SELECT, make_rng
 from .topology import Network
 
@@ -139,28 +138,6 @@ def _roulette_pairs(gen, fitnesses, n_pairs):
     return list(zip(idx[0::2], idx[1::2]))
 
 
-def select_parents(population, fitnesses, seed, n_pairs=None):
-    """Roulette-wheel parent selection; returns index pairs into population."""
-    if len(population) != len(fitnesses):
-        raise ValueError("population and fitnesses lengths differ")
-    if n_pairs is None:
-        n_pairs = len(population) // 2
-    return _roulette_pairs(make_rng(seed, GA_SELECT), fitnesses, n_pairs)
-
-
-def _evaluate(network, population, source, destination, dparams):
-    fits, paths = [], []
-    for chrom in population:
-        try:
-            path = decode(network, chrom, source, destination, dparams)
-            fits.append(path_fitness(network, path))
-            paths.append(path)
-        except DeadEnd:
-            fits.append(0.0)
-            paths.append(None)
-    return fits, paths
-
-
 def _maybe_mutate(child, gen, params, n):
     if gen.random() >= params.mutation_prob:
         return child
@@ -168,14 +145,6 @@ def _maybe_mutate(child, gen, params, n):
         i, j = sorted(int(x) + 1 for x in gen.choice(n, size=2, replace=False))
         return mutate_swap(child, i, j)
     return mutate_adjacent_swap(child, int(gen.integers(1, n)))
-
-
-def _argmax(values):
-    best = 0
-    for i, v in enumerate(values):
-        if v > values[best]:
-            best = i
-    return best
 
 
 @dataclass
@@ -210,14 +179,10 @@ def run_ga(network: Network, source, destination, params: GaParams, seed) -> GaR
     t0 = time.perf_counter()
     source, destination = int(source), int(destination)
     dparams = DecodeParams.for_network(network)
-    init_gen = make_rng(seed, GA_INIT)
-    population = [
-        draw_valid_priorities(network, source, destination, dparams, init_gen)[0]
-        for _ in range(params.pop_size)
-    ]
-    fits, paths = _evaluate(network, population, source, destination, dparams)
+    population, fits, paths = draw_population(network, params.pop_size, source, destination,
+                                              dparams, make_rng(seed, GA_INIT))
 
-    best = _argmax(fits)
+    best = first_max(fits)
     best_fitness, best_path = fits[best], paths[best]
     trace = [(0, fits[best])]
     n = network.n_nodes
@@ -244,11 +209,11 @@ def run_ga(network: Network, source, destination, params: GaParams, seed) -> GaR
             children.append(_maybe_mutate(cb, op_gen, params, n))
         children = children[:n_children]
 
-        elite = [population[_argmax(fits)].copy()] if params.elitism else []
+        elite = [population[first_max(fits)].copy()] if params.elitism else []
         population = elite + children
-        fits, paths = _evaluate(network, population, source, destination, dparams)
+        fits, paths = evaluate(network, population, source, destination, dparams)
 
-        gen_best = _argmax(fits)
+        gen_best = first_max(fits)
         trace.append((k, fits[gen_best]))
         if fits[gen_best] > best_fitness:
             best_fitness, best_path = fits[gen_best], paths[gen_best]

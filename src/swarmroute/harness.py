@@ -5,19 +5,22 @@ seeds, always feeding the same network and base seed to both sides, and
 reports fitness, hop count and wall time per cell plus mean/median
 aggregates and two directional verdict booleans (PSO at least as fit on
 average, PSO at least as fast on average). `brute_force_best` enumerates
-every simple path on small networks as an exact reference.
+every simple path on small networks as an exact reference. The config
+checks its values with the owning modules' check functions when built.
 """
 
 import json
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 
-from .encoding import NoPathFound, Path
+from .encoding import NoPathFound, Path, check_endpoints, path_fitness
+from .errors import InvalidConfig
 from .ga import GaParams, run_ga
-from .pso import PsoParams, path_fitness, run_pso
-from .rng import derive_seed
-from .topology import (DEFAULT_BANDWIDTH_RANGE, DEFAULT_INTER_DENSITY,
-                       DEFAULT_INTRA_DENSITY, Network, build_network)
+from .pso import PsoParams, run_pso
+from .rng import check_seed, derive_seed
+from .topology import (DEFAULT_BANDWIDTH_RANGE, DEFAULT_INTER_DENSITY, DEFAULT_INTRA_DENSITY,
+                       Network, build_network, check_bandwidth_mode, check_bandwidth_range,
+                       check_densities, check_node_count)
 
 CSV_HEADER = "budget,trial,pso_fitness,ga_fitness,pso_hops,ga_hops,pso_ms,ga_ms"
 
@@ -26,10 +29,6 @@ DEFAULT_ORACLE_CAP = 12
 
 class OracleTooLarge(ValueError):
     """Network too big for exhaustive simple-path enumeration."""
-
-
-class InvalidConfig(ValueError):
-    """Experiment configuration violates a precondition."""
 
 
 @dataclass
@@ -49,32 +48,20 @@ class ExperimentConfig:
     b_max: float = DEFAULT_BANDWIDTH_RANGE[1]
     ensure_connected: bool = True
     fixed_topology: bool = False
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.destination is None:
             self.destination = self.n_nodes - 1
-        if self.n_nodes < 4:
-            raise InvalidConfig(f"need at least 4 nodes, got {self.n_nodes}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+        check_node_count(self.n_nodes)
+        check_seed(self.seed)
         if not self.budgets or any(b < 1 for b in self.budgets):
             raise InvalidConfig("iteration budgets must be a non-empty list of integers >= 1")
         if self.trials < 1:
             raise InvalidConfig(f"trials must be >= 1, got {self.trials}")
-        if self.source == self.destination:
-            raise InvalidConfig("source and destination must differ")
-        for label, node in (("source", self.source), ("destination", self.destination)):
-            if not 0 <= node < self.n_nodes:
-                raise InvalidConfig(f"{label} {node} outside node range 0..{self.n_nodes - 1}")
-        if self.bandwidth_mode not in ("static", "dynamic"):
-            raise InvalidConfig(f"unknown bandwidth mode {self.bandwidth_mode!r}")
-        if self.b_min <= 0 or self.b_min > self.b_max:
-            raise InvalidConfig(f"need 0 < b_min <= b_max, got [{self.b_min}, {self.b_max}]")
-        if not (0.0 <= self.intra_density <= 1.0 and 0.0 <= self.inter_density <= 1.0):
-            raise InvalidConfig("link densities must lie in [0, 1]")
-        if self.output_format not in ("csv", "json"):
-            raise InvalidConfig(f"unknown output format {self.output_format!r}")
+        check_endpoints(self.n_nodes, self.source, self.destination)
+        check_bandwidth_mode(self.bandwidth_mode)
+        check_bandwidth_range(self.b_min, self.b_max, self.n_nodes)
+        check_densities(self.intra_density, self.inter_density)
 
 
 @dataclass
@@ -132,20 +119,16 @@ def compare(config: ExperimentConfig) -> Report:
     seed) and gives both optimizers that same network and the same seed.
     Deterministic except the wall-time fields.
     """
-    fixed_net = None
-    if config.fixed_topology:
-        fixed_net = build_network(config.n_nodes, config.seed, config.intra_density,
-                                  config.inter_density, config.ensure_connected,
-                                  config.b_min, config.b_max)
+    def network(seed):
+        return build_network(config.n_nodes, seed, config.intra_density, config.inter_density,
+                             config.ensure_connected, config.b_min, config.b_max)
+
+    fixed_net = network(config.seed) if config.fixed_topology else None
     records = []
     for budget in config.budgets:
         for trial in range(config.trials):
             cell_seed = trial_seed(config.seed, budget, trial)
-            net = fixed_net
-            if net is None:
-                net = build_network(config.n_nodes, cell_seed, config.intra_density,
-                                    config.inter_density, config.ensure_connected,
-                                    config.b_min, config.b_max)
+            net = fixed_net if fixed_net is not None else network(cell_seed)
             pso_params = replace(config.pso, iterations=budget,
                                  bandwidth_mode=config.bandwidth_mode)
             ga_params = replace(config.ga, kmax=budget)
@@ -175,6 +158,7 @@ def brute_force_best(network: Network, source, destination, cap=DEFAULT_ORACLE_C
     if network.n_nodes > cap:
         raise OracleTooLarge(f"{network.n_nodes} nodes exceeds the enumeration cap {cap}")
     source, destination = int(source), int(destination)
+    check_endpoints(network.n_nodes, source, destination)
     best_path: Path | None = None
     best_fitness = 0.0
 
@@ -214,22 +198,3 @@ def render_csv(report: Report) -> str:
 
 def render_json(report: Report) -> str:
     return json.dumps(report.to_json(), indent=2) + "\n"
-
-
-def emit(report: Report, output_format: str, destination_path) -> int:
-    """Write the rendered report to a file; returns the byte count written."""
-    if not report.records:
-        raise ValueError("report has no records")
-    if output_format == "csv":
-        text = render_csv(report)
-    elif output_format == "json":
-        text = render_json(report)
-    else:
-        raise ValueError(f"unknown output format {output_format!r}")
-    data = text.encode("utf-8")
-    try:
-        with open(destination_path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination_path}: {exc}") from exc
-    return len(data)

@@ -1,11 +1,11 @@
 """Particle swarm search over priority vectors.
 
-Each particle's position is a priority vector; decoding it yields a path
-whose fitness is the first-link bandwidth divided by the total bandwidth
-along the path (higher is better, 1.0 for a direct link). Personal and
-global bests track the best decoded paths seen so far; velocities follow
-the standard inertia + cognitive + social update with componentwise
-clamping.
+Each particle's position is a priority vector, decoded and scored by the
+evaluator in `encoding` (the one the GA uses too): fitness is the
+first-link bandwidth divided by the total bandwidth along the path (higher
+is better, 1.0 for a direct link). Personal and global bests track the best
+decoded paths seen so far; velocities follow the standard inertia +
+cognitive + social update with componentwise clamping.
 """
 
 import time
@@ -13,27 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import DeadEnd, DecodeParams, Path, decode, draw_valid_priorities
+from .encoding import (DecodeParams, Path, draw_population, evaluate, first_max,
+                       path_fitness)
 from .rng import PSO_INIT, PSO_STEP, make_rng
-from .topology import Network, perturb_bandwidths
-
-
-class InvalidPath(ValueError):
-    """Path unusable for fitness evaluation (no links, or a missing link)."""
-
-
-def path_fitness(network: Network, path: Path) -> float:
-    """First-link bandwidth over the summed bandwidth of all links on the path.
-
-    Always in (0, 1]; exactly 1.0 for single-link paths.
-    """
-    try:
-        bws = [network.bandwidth(u, v) for u, v in path.links()]
-    except KeyError as exc:
-        raise InvalidPath(f"path {path} uses a link missing from the network") from exc
-    if not bws:
-        raise InvalidPath("path has no links")
-    return bws[0] / sum(bws)
+from .topology import Network, check_bandwidth_mode, perturb_bandwidths
 
 
 @dataclass
@@ -53,8 +36,7 @@ class PsoParams:
             raise ValueError(f"need at least 1 iteration, got {self.iterations}")
         if self.v_max <= 0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
-        if self.bandwidth_mode not in ("static", "dynamic"):
-            raise ValueError(f"unknown bandwidth mode {self.bandwidth_mode!r}")
+        check_bandwidth_mode(self.bandwidth_mode)
 
 
 @dataclass(eq=False)
@@ -87,19 +69,12 @@ def init_swarm(network: Network, source, destination, params: PsoParams, seed) -
     per seed; raises NoPathFound if a particle exhausts its retry budget.
     """
     dparams = DecodeParams.for_network(network)
-    gen = make_rng(seed, PSO_INIT)
-    particles = []
-    for _ in range(params.n_particles):
-        pos, path = draw_valid_priorities(network, source, destination, dparams, gen)
-        fit = path_fitness(network, path)
-        particles.append(Particle(position=pos, velocity=np.zeros_like(pos),
-                                  pbest_position=pos.copy(), pbest_fitness=fit,
-                                  pbest_path=path))
-    best = 0
-    for i, p in enumerate(particles):
-        if p.pbest_fitness > particles[best].pbest_fitness:
-            best = i
-    leader = particles[best]
+    positions, fits, paths = draw_population(network, params.n_particles, source, destination,
+                                             dparams, make_rng(seed, PSO_INIT))
+    particles = [Particle(position=pos, velocity=np.zeros_like(pos), pbest_position=pos.copy(),
+                          pbest_fitness=fit, pbest_path=path)
+                 for pos, fit, path in zip(positions, fits, paths)]
+    leader = particles[first_max(fits)]
     return Swarm(particles=particles, gbest_position=leader.pbest_position.copy(),
                  gbest_fitness=leader.pbest_fitness, gbest_path=leader.pbest_path,
                  params=params, iteration=0, source=int(source), destination=int(destination),
@@ -119,13 +94,10 @@ def step(swarm: Swarm, network: Network, seed) -> Swarm:
     iteration = swarm.iteration + 1
     net = perturb_bandwidths(network, seed, iteration, mode=params.bandwidth_mode)
 
+    fits, paths = evaluate(net, [p.position for p in swarm.particles], swarm.source,
+                           swarm.destination, swarm.decode_params)
     pbest_pos, pbest_fit, pbest_path = [], [], []
-    for p in swarm.particles:
-        try:
-            path = decode(net, p.position, swarm.source, swarm.destination, swarm.decode_params)
-            fit = path_fitness(net, path)
-        except DeadEnd:
-            path, fit = None, 0.0
+    for p, fit, path in zip(swarm.particles, fits, paths):
         if path is not None and fit > p.pbest_fitness:
             pbest_pos.append(p.position.copy())
             pbest_fit.append(fit)
@@ -135,12 +107,10 @@ def step(swarm: Swarm, network: Network, seed) -> Swarm:
             pbest_fit.append(p.pbest_fitness)
             pbest_path.append(p.pbest_path)
 
-    gbest_pos = swarm.gbest_position
-    gbest_fit = swarm.gbest_fitness
-    gbest_path = swarm.gbest_path
-    for i in range(len(pbest_fit)):
-        if pbest_fit[i] > gbest_fit:
-            gbest_pos, gbest_fit, gbest_path = pbest_pos[i], pbest_fit[i], pbest_path[i]
+    gbest_pos, gbest_fit, gbest_path = swarm.gbest_position, swarm.gbest_fitness, swarm.gbest_path
+    best = first_max(pbest_fit)
+    if pbest_fit[best] > gbest_fit:
+        gbest_pos, gbest_fit, gbest_path = pbest_pos[best], pbest_fit[best], pbest_path[best]
 
     positions = np.stack([p.position for p in swarm.particles])
     velocities = np.stack([p.velocity for p in swarm.particles])

@@ -8,6 +8,8 @@ the same draws.
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 # Stream tags, one per randomized operation.
 TOPOLOGY = 1
 BANDWIDTH = 2
@@ -20,11 +22,17 @@ GA_SELECT = 8
 GA_OPS = 9
 
 
+def check_seed(seed):
+    if seed < 0:
+        raise InvalidConfig(f"seed must be non-negative, got {seed}")
+
+
 def make_rng(seed, *keys):
     """Generator for the stream identified by (seed, *keys).
 
-    Seed and keys must be non-negative integers.
+    Keys must be non-negative integers; a negative seed raises InvalidConfig.
     """
+    check_seed(seed)
     return np.random.default_rng([int(seed)] + [int(k) for k in keys])
 
 

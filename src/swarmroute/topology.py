@@ -5,13 +5,16 @@ separate densities for intra- and inter-region pairs, optionally on top of
 a random spanning tree so every node pair stays reachable. Bandwidths are
 drawn uniformly from a configurable range. All operations are pure and
 deterministic per seed: they return new Network values and never mutate
-their inputs.
+their inputs. The `check_*` functions are the one place each network input
+rule is written; the experiment config calls them too.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .rng import BANDWIDTH, PERTURB, TOPOLOGY, make_rng
 
 DEFAULT_INTRA_DENSITY = 0.6
@@ -19,12 +22,39 @@ DEFAULT_INTER_DENSITY = 0.15
 DEFAULT_BANDWIDTH_RANGE = (1.0, 100.0)
 
 
-class InvalidNodeCount(ValueError):
+class InvalidNodeCount(InvalidConfig):
     """Node count too small to partition into regions."""
 
 
-class InvalidBandwidthRange(ValueError):
-    """Bandwidth bounds must satisfy 0 < b_min <= b_max."""
+class InvalidBandwidthRange(InvalidConfig):
+    """Bandwidth bounds outside the range check_bandwidth_range accepts."""
+
+
+def check_node_count(n_nodes):
+    if n_nodes < 4:
+        raise InvalidNodeCount(f"need at least 4 nodes, got {n_nodes}")
+
+
+def check_densities(intra_density, inter_density):
+    if not (0.0 <= intra_density <= 1.0 and 0.0 <= inter_density <= 1.0):
+        raise InvalidConfig("link densities must lie in [0, 1]")
+
+
+def check_bandwidth_range(b_min, b_max, n_nodes):
+    """Accept a finite, positive, ordered range on which every path fitness
+    stays in (0, 1]: a path sums at most n_nodes - 1 bandwidths, and neither
+    that sum nor b_min over it may leave the float range."""
+    if not 0 < b_min <= b_max < math.inf:
+        raise InvalidBandwidthRange(f"need finite 0 < b_min <= b_max, got [{b_min}, {b_max}]")
+    longest = (n_nodes - 1) * b_max
+    if not (longest < math.inf and b_min / longest > 0):
+        raise InvalidBandwidthRange(
+            f"bandwidths in [{b_min}, {b_max}] over {n_nodes - 1} links leave the float range")
+
+
+def check_bandwidth_mode(mode):
+    if mode not in ("static", "dynamic"):
+        raise InvalidConfig(f"unknown bandwidth mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -45,12 +75,6 @@ class RegionLayout:
         """Size shared by every region except possibly the last."""
         return self.sizes[0]
 
-    def region_of(self, node: int) -> int:
-        for i, (start, stop) in enumerate(self.ranges):
-            if start <= node < stop:
-                return i
-        raise ValueError(f"node {node} outside 0..{self.n_nodes - 1}")
-
 
 def partition_regions(n_nodes: int) -> RegionLayout:
     """Split n_nodes ids into floor(log2(n_nodes)) contiguous regions.
@@ -59,8 +83,7 @@ def partition_regions(n_nodes: int) -> RegionLayout:
     region, so e.g. 21 nodes make 4 regions sized [5, 5, 5, 6].
     """
     n_nodes = int(n_nodes)
-    if n_nodes < 4:
-        raise InvalidNodeCount(f"need at least 4 nodes, got {n_nodes}")
+    check_node_count(n_nodes)
     n_regions = n_nodes.bit_length() - 1  # floor(log2(n_nodes)), exact
     base = n_nodes // n_regions
     sizes = [base] * n_regions
@@ -71,13 +94,6 @@ def partition_regions(n_nodes: int) -> RegionLayout:
         ranges.append((start, start + size))
         start += size
     return RegionLayout(n_nodes, n_regions, tuple(sizes), tuple(ranges))
-
-
-@dataclass(frozen=True)
-class Link:
-    u: int
-    v: int
-    bandwidth: float
 
 
 @dataclass
@@ -131,11 +147,6 @@ class Network:
     def bandwidth(self, u: int, v: int) -> float:
         return self.links[(min(u, v), max(u, v))]
 
-    def iter_links(self):
-        """Links as Link records, sorted by (u, v)."""
-        for u, v in sorted(self.links):
-            yield Link(u, v, self.links[(u, v)])
-
     @classmethod
     def from_links(cls, n_nodes, links, seed=0, bandwidth_range=None):
         """Build from (u, v) or (u, v, bandwidth) tuples; default bandwidth 1.0."""
@@ -152,10 +163,8 @@ class Network:
             "pn": self.layout.n_nodes,
             "a": self.layout.n_regions,
             "sizes": list(self.layout.sizes),
-            "links": [
-                {"u": link.u, "v": link.v, "bandwidth": link.bandwidth}
-                for link in self.iter_links()
-            ],
+            "links": [{"u": u, "v": v, "bandwidth": self.links[(u, v)]}
+                      for u, v in sorted(self.links)],
             "seed": self.seed,
         }
 
@@ -184,8 +193,7 @@ def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,
         intra_density, inter_density: link probabilities in [0, 1].
         ensure_connected: add a spanning-tree backbone before sampling.
     """
-    if not (0.0 <= intra_density <= 1.0 and 0.0 <= inter_density <= 1.0):
-        raise ValueError("link densities must lie in [0, 1]")
+    check_densities(intra_density, inter_density)
     layout = partition_regions(n_nodes)
     gen = make_rng(seed, TOPOLOGY)
     links: dict[tuple[int, int], float] = {}
@@ -210,14 +218,8 @@ def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,
 def assign_bandwidths(network: Network, seed, b_min=DEFAULT_BANDWIDTH_RANGE[0],
                       b_max=DEFAULT_BANDWIDTH_RANGE[1]) -> Network:
     """New network with every link bandwidth drawn uniformly from [b_min, b_max]."""
-    if b_min <= 0 or b_min > b_max:
-        raise InvalidBandwidthRange(f"need 0 < b_min <= b_max, got [{b_min}, {b_max}]")
-    gen = make_rng(seed, BANDWIDTH)
-    keys = sorted(network.links)
-    draws = gen.uniform(b_min, b_max, size=len(keys))
-    links = {key: float(bw) for key, bw in zip(keys, draws)}
-    return Network(layout=network.layout, links=links, seed=network.seed,
-                   bandwidth_range=(float(b_min), float(b_max)))
+    check_bandwidth_range(b_min, b_max, network.n_nodes)
+    return _draw_bandwidths(network, make_rng(seed, BANDWIDTH), b_min, b_max)
 
 
 def perturb_bandwidths(network: Network, seed, iteration: int, mode="dynamic") -> Network:
@@ -229,17 +231,20 @@ def perturb_bandwidths(network: Network, seed, iteration: int, mode="dynamic") -
     """
     if mode == "static":
         return network
-    if mode != "dynamic":
-        raise ValueError(f"unknown bandwidth mode {mode!r}")
+    check_bandwidth_mode(mode)
     if network.bandwidth_range is None:
         raise ValueError("network has no assigned bandwidth range; run assign_bandwidths first")
-    b_min, b_max = network.bandwidth_range
-    gen = make_rng(seed, PERTURB, iteration)
+    return _draw_bandwidths(network, make_rng(seed, PERTURB, iteration),
+                            *network.bandwidth_range)
+
+
+def _draw_bandwidths(network, gen, b_min, b_max):
+    """Copy of `network` with one uniform [b_min, b_max] draw per link, in (u, v) order."""
     keys = sorted(network.links)
     draws = gen.uniform(b_min, b_max, size=len(keys))
     links = {key: float(bw) for key, bw in zip(keys, draws)}
     return Network(layout=network.layout, links=links, seed=network.seed,
-                   bandwidth_range=network.bandwidth_range)
+                   bandwidth_range=(float(b_min), float(b_max)))
 
 
 def build_network(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,

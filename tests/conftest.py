@@ -1,4 +1,5 @@
 import math
+import re
 
 import networkx as nx
 import pytest
@@ -26,6 +27,16 @@ def small_net():
 
 def make_networks(count, n_nodes=21, start_seed=0, **kwargs):
     return [build_network(n_nodes, seed=start_seed + i, **kwargs) for i in range(count)]
+
+
+def mask_times(text):
+    """Blank every wall-time-derived field so CLI runs can be byte-compared."""
+    text = re.sub(r'"(wall_ms|pso_ms|ga_ms|mean_ms|median_ms)": [0-9.eE+-]+', r'"\1": X', text)
+    text = re.sub(r'"pso_mean_ms_le_ga": (true|false)', '"pso_mean_ms_le_ga": X', text)
+    lines = text.split("\n")
+    if lines and lines[0].startswith("budget,"):
+        return "\n".join([lines[0]] + [",".join(l.split(",")[:6]) for l in lines[1:] if l])
+    return text
 
 
 # ---- independent oracles (kept free of the library's own path/graph logic) ----

@@ -6,9 +6,8 @@ two directional comparison verdicts without asserting them, and criterion 7
 prints how often the swarm matched the exhaustive optimum.
 """
 
-import json
-import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from swarmroute.cli import main as cli_main
 from swarmroute.harness import CSV_HEADER, ExperimentConfig
 from swarmroute.pso import init_swarm, step
 
-from conftest import assert_valid_path, fitness_oracle
+from conftest import assert_valid_path, fitness_oracle, mask_times
 
 
 def test_c1_region_partition_golden():
@@ -177,16 +176,7 @@ def test_c8_experiment_shape():
           f"pso_mean_ms_le_ga={verdict_report.verdicts['pso_mean_ms_le_ga']}")
 
 
-def _mask_times(text):
-    text = re.sub(r'"(wall_ms|pso_ms|ga_ms|mean_ms|median_ms)": [0-9.eE+-]+', r'"\1": X', text)
-    text = re.sub(r'"pso_mean_ms_le_ga": (true|false)', '"pso_mean_ms_le_ga": X', text)
-    lines = text.split("\n")
-    if lines and lines[0].startswith("budget,"):
-        return "\n".join([lines[0]] + [",".join(l.split(",")[:6]) for l in lines[1:] if l])
-    return text
-
-
-@pytest.mark.parametrize("argv", [
+C9_ARGV = [
     ["generate", "--nodes", "12", "--seed", "4"],
     ["run-pso", "--nodes", "12", "--seed", "4", "--iterations", "10", "--particles", "8"],
     ["run-ga", "--nodes", "12", "--seed", "4", "--iterations", "10", "--population", "8"],
@@ -195,12 +185,44 @@ def _mask_times(text):
     ["compare", "--nodes", "12", "--seed", "4", "--budgets", "3-5",
      "--particles", "6", "--population", "6", "--format", "json"],
     ["oracle", "--nodes", "10", "--seed", "4"],
-], ids=lambda argv: argv[0] + ("+json" if "json" in argv else ""))
+]
+
+# Golden outputs: masked stdout of the c9 runs plus the dynamic-bandwidth and
+# GA operator variants, one file per case under tests/golden/. At seed 4 the
+# single runs find the direct 0-11 link at once, so the variants use seed 7,
+# where both optimizers improve on their initial best.
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "generate": C9_ARGV[0],
+    "run-pso": C9_ARGV[1],
+    "run-ga": C9_ARGV[2],
+    "compare": C9_ARGV[3],
+    "compare+json": C9_ARGV[4],
+    "oracle": C9_ARGV[5],
+    "compare+dynamic+json": C9_ARGV[4] + ["--dynamic-bandwidth"],
+    "run-pso+dynamic": ["run-pso", "--nodes", "12", "--seed", "7", "--iterations", "10",
+                        "--particles", "8", "--dynamic-bandwidth"],
+    "run-ga+2pt+adjswap+no-elitism": ["run-ga", "--nodes", "12", "--seed", "7",
+                                      "--iterations", "10", "--population", "8",
+                                      "--crossover", "2pt", "--mutation", "adjswap",
+                                      "--no-elitism"],
+}
+
+
+@pytest.mark.parametrize("argv", C9_ARGV,
+                         ids=lambda argv: argv[0] + ("+json" if "json" in argv else ""))
 def test_c9_subcommand_determinism(capsys, argv):
     assert cli_main(list(argv)) == 0
     first = capsys.readouterr().out
     assert cli_main(list(argv)) == 0
     second = capsys.readouterr().out
-    assert _mask_times(first) == _mask_times(second)
+    assert mask_times(first) == mask_times(second)
     assert first  # something was actually emitted
     print(f"\nACCEPTANCE 9 ({' '.join(argv[:1])} determinism): PASS")
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_c9_matches_golden_output(capsys, case):
+    assert cli_main(list(GOLDEN_CASES[case])) == 0
+    out = mask_times(capsys.readouterr().out)
+    assert out == (GOLDEN_DIR / f"{case}.out").read_text()

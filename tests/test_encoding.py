@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from swarmroute import (DeadEnd, DecodeParams, Network, NoPathFound, Path, build_network,
                         decode, eligible_neighbors, heuristic_allows, random_priorities)
-from swarmroute.encoding import SENTINEL_PRIORITY, draw_valid_priorities
+from swarmroute.encoding import MAX_DRAWS, SENTINEL_PRIORITY, draw_valid_priorities
 from swarmroute.rng import make_rng
 
 from conftest import assert_valid_path
@@ -199,10 +199,10 @@ class TestDrawValidPriorities:
 
     def test_no_path_raises(self):
         net = Network.from_links(4, [(0, 1)])  # 3 is isolated
-        params = DecodeParams(window=2, max_retries=10)
+        params = DecodeParams(window=2)
         with pytest.raises(NoPathFound) as exc:
             draw_valid_priorities(net, 0, 3, params, make_rng(0))
-        assert exc.value.attempts == 10
+        assert exc.value.attempts == MAX_DRAWS == 50
 
 
 class TestDecodeParams:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from swarmroute import (GaParams, brute_force_best, build_network, crossover_one_point,
                         crossover_two_point, mutate_adjacent_swap, mutate_swap,
-                        path_fitness, run_ga, select_parents)
-from swarmroute.ga import InvalidCutPoints, InvalidIndex, LengthMismatch
+                        path_fitness, run_ga)
+from swarmroute.ga import InvalidCutPoints, InvalidIndex, LengthMismatch, _roulette_pairs
+from swarmroute.rng import GA_SELECT, make_rng
 
 from conftest import assert_valid_path
 
@@ -139,39 +140,40 @@ class TestOperatorProperties:
                 assert kid[pos] == a[pos] or kid[pos] == b[pos]
 
 
+def select_parents(fitnesses, seed, n_pairs):
+    """Roulette-wheel parent index pairs, drawn as run_ga draws them."""
+    return _roulette_pairs(make_rng(seed, GA_SELECT), fitnesses, n_pairs)
+
+
 class TestSelectParents:
     def test_all_mass_on_one_chromosome(self):
-        pop = [np.zeros(4)] * 5
-        pairs = select_parents(pop, [0, 0, 1.0, 0, 0], seed=1, n_pairs=200)
+        pairs = select_parents([0, 0, 1.0, 0, 0], seed=1, n_pairs=200)
         assert len(pairs) == 200
         assert all(pair == (2, 2) for pair in pairs)
 
     def test_even_split_frequencies(self):
-        pop = [np.zeros(4)] * 2
-        pairs = select_parents(pop, [1.0, 1.0], seed=7, n_pairs=5000)
+        pairs = select_parents([1.0, 1.0], seed=7, n_pairs=5000)
         draws = [i for pair in pairs for i in pair]
         freq = draws.count(0) / len(draws)
         assert abs(freq - 0.5) < 0.02
 
     def test_deterministic(self):
-        pop = [np.zeros(4)] * 6
         fits = [0.1, 0.5, 0.2, 0.9, 0.4, 0.3]
-        assert select_parents(pop, fits, seed=3) == select_parents(pop, fits, seed=3)
+        assert select_parents(fits, seed=3, n_pairs=3) == select_parents(fits, seed=3, n_pairs=3)
 
     def test_all_zero_falls_back_to_uniform(self):
-        pop = [np.zeros(4)] * 4
-        pairs = select_parents(pop, [0.0] * 4, seed=5, n_pairs=2000)
+        pairs = select_parents([0.0] * 4, seed=5, n_pairs=2000)
         draws = [i for pair in pairs for i in pair]
         for idx in range(4):
             assert abs(draws.count(idx) / len(draws) - 0.25) < 0.05
 
     def test_negative_fitness_rejected(self):
         with pytest.raises(ValueError):
-            select_parents([np.zeros(2)] * 2, [0.5, -0.1], seed=0)
+            select_parents([0.5, -0.1], seed=0, n_pairs=1)
 
-    def test_length_mismatch_rejected(self):
+    def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            select_parents([np.zeros(2)] * 3, [0.5, 0.5], seed=0)
+            select_parents([], seed=0, n_pairs=1)
 
 
 class TestRunGa:
@@ -222,9 +224,12 @@ class TestRunGa:
             assert result.fitness <= best
 
     def test_shares_fitness_function_with_pso(self, diamond_net):
+        import swarmroute.encoding as encoding
         import swarmroute.ga as ga
         import swarmroute.pso as pso
-        assert ga.path_fitness is pso.path_fitness
+        assert ga.evaluate is pso.evaluate is encoding.evaluate
+        assert ga.draw_population is pso.draw_population
+        assert pso.path_fitness is encoding.path_fitness
 
     def test_json_shape(self, small_net):
         result = run_ga(small_net, 0, 11, GaParams(pop_size=5, kmax=4), seed=1)

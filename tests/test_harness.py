@@ -6,7 +6,8 @@ import pytest
 
 from swarmroute import (ExperimentConfig, GaParams, InvalidConfig, Network, NoPathFound,
                         OracleTooLarge, PsoParams, brute_force_best, build_network, compare,
-                        emit, path_fitness, render_csv, render_json, run_ga, run_pso)
+                        path_fitness, render_csv, render_json, run_ga, run_pso)
+from swarmroute import cli
 from swarmroute.harness import CSV_HEADER, trial_seed
 
 from conftest import fitness_oracle, to_nx
@@ -161,11 +162,16 @@ class TestExperimentConfig:
         {"budgets": ()}, {"budgets": (0,)}, {"trials": 0}, {"source": 0, "destination": 0},
         {"source": -1}, {"destination": 40}, {"bandwidth_mode": "wavy"},
         {"b_min": 0.0}, {"b_min": 9.0, "b_max": 1.0}, {"intra_density": 2.0},
-        {"output_format": "xml"}, {"n_nodes": 3}, {"seed": -1},
+        {"n_nodes": 3}, {"seed": -1}, {"b_max": float("inf")}, {"b_min": float("nan")},
+        {"b_min": 1e308, "b_max": 1.7e308}, {"inter_density": float("nan")},
     ])
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
             tiny_config(**overrides)
+
+
+TINY_COMPARE_ARGV = ["compare", "--nodes", "12", "--seed", "1", "--budgets", "3-4",
+                     "--particles", "6", "--population", "6"]
 
 
 class TestEmit:
@@ -197,21 +203,34 @@ class TestEmit:
         assert parsed["config"]["n_nodes"] == 12
         assert parsed["config"]["budgets"] == [3, 4]
 
-    def test_emit_writes_bytes(self, report, tmp_path):
+    def test_emit_writes_bytes(self, report, tmp_path, capsys, monkeypatch):
+        # The CLI builds the same config as tiny_config(); the stub hands back
+        # the fixture's report so the written bytes can be compared exactly.
+        seen = []
+        monkeypatch.setattr(cli, "compare", lambda config: seen.append(config) or report)
+        for fmt, render in (("csv", render_csv), ("json", render_json)):
+            target = tmp_path / f"report.{fmt}"
+            assert cli.main(TINY_COMPARE_ARGV + ["--format", fmt, "--out", str(target)]) == 0
+            assert capsys.readouterr().out == ""
+            assert target.read_bytes() == render(report).encode()
+        assert seen == [report.config] * 2
+
+    def test_emit_rejects_empty_report(self, capsys, tmp_path):
+        # "3-1" (overriding the earlier --budgets) is an empty budget range;
+        # the config refuses it, so no empty report is rendered or written.
         target = tmp_path / "report.csv"
-        count = emit(report, "csv", target)
-        assert target.read_bytes() == render_csv(report).encode()
-        assert count == len(target.read_bytes())
+        assert cli.main(TINY_COMPARE_ARGV + ["--budgets", "3-1", "--out", str(target)]) == 2
+        assert "budgets" in capsys.readouterr().err
+        assert not target.exists()
 
-    def test_emit_rejects_empty_report(self, report):
-        report.records = []
-        with pytest.raises(ValueError):
-            emit(report, "csv", "/tmp/never-written.csv")
+    def test_emit_rejects_unknown_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(TINY_COMPARE_ARGV + ["--format", "yaml"])
+        assert exc.value.code == 2
+        assert "yaml" in capsys.readouterr().err
 
-    def test_emit_rejects_unknown_format(self, report, tmp_path):
-        with pytest.raises(ValueError):
-            emit(report, "yaml", tmp_path / "x")
-
-    def test_emit_surfaces_io_failure_with_path(self, report):
-        with pytest.raises(OSError, match="/nonexistent-dir/report.csv"):
-            emit(report, "csv", "/nonexistent-dir/report.csv")
+    def test_emit_surfaces_io_failure_with_path(self, capsys):
+        code = cli.main(TINY_COMPARE_ARGV + ["--out", "/nonexistent-dir/report.csv"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "/nonexistent-dir/report.csv" in err

@@ -48,14 +48,6 @@ class TestPartitionRegions:
                 expect_start = stop
             assert expect_start == n
 
-    def test_region_of(self):
-        layout = partition_regions(21)
-        assert layout.region_of(0) == 0
-        assert layout.region_of(15) == 3
-        assert layout.region_of(20) == 3
-        with pytest.raises(ValueError):
-            layout.region_of(21)
-
 
 class TestGenerateTopology:
     def test_full_density_is_complete_graph(self):
@@ -124,7 +116,8 @@ class TestAssignBandwidths:
         assert base.links == before
         assert base.bandwidth_range is None
 
-    @pytest.mark.parametrize("lo,hi", [(0, 10), (-1, 10), (10, 5)])
+    @pytest.mark.parametrize("lo,hi", [(0, 10), (-1, 10), (10, 5), (float("nan"), 10),
+                                       (1, float("inf")), (1e308, 1.7e308), (1e-300, 1e300)])
     def test_bad_range_rejected(self, lo, hi):
         net = generate_topology(8, seed=0)
         with pytest.raises(InvalidBandwidthRange):
