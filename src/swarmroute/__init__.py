@@ -8,7 +8,7 @@ both optimizers over iteration-budget grids and emits comparison reports.
 """
 
 from .encoding import (DeadEnd, DecodeParams, InvalidPath, NoPathFound, Path, decode,
-                       eligible_neighbors, heuristic_allows, path_fitness, random_priorities)
+                       path_fitness, random_priorities)
 from .errors import InvalidConfig
 from .ga import (GaParams, GaResult, crossover_one_point, crossover_two_point,
                  mutate_adjacent_swap, mutate_swap, run_ga)
@@ -21,7 +21,7 @@ from .topology import (InvalidBandwidthRange, InvalidNodeCount, Network, RegionL
 
 __all__ = [
     "DeadEnd", "DecodeParams", "InvalidPath", "NoPathFound", "Path", "decode",
-    "eligible_neighbors", "heuristic_allows", "path_fitness", "random_priorities",
+    "path_fitness", "random_priorities",
     "InvalidConfig",
     "GaParams", "GaResult", "crossover_one_point", "crossover_two_point",
     "mutate_adjacent_swap", "mutate_swap", "run_ga",

@@ -9,7 +9,9 @@ that own the values; the CLI only parses and maps errors to exit codes.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .encoding import NoPathFound
@@ -142,6 +144,26 @@ def _bandwidth_mode(args):
     return "dynamic" if args.dynamic_bandwidth else "static"
 
 
+def _check_out(out_path):
+    """Refuse an --out path whose directory is missing or that names a
+    directory, before any work runs; nothing is created or truncated.
+
+    Other write failures still surface in `_output`, with the same message.
+    """
+    if not out_path:
+        return
+    parent = os.path.dirname(out_path) or os.curdir
+    if os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise InvalidConfig(f"cannot write {out_path}: {os.strerror(code)}")
+
+
 def _output(text, out_path):
     if not out_path:
         sys.stdout.write(text)
@@ -202,6 +224,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         args.func(args)
         return EXIT_OK
     except NoPathFound as exc:

@@ -94,8 +94,8 @@ def step(swarm: Swarm, network: Network, seed) -> Swarm:
     iteration = swarm.iteration + 1
     net = perturb_bandwidths(network, seed, iteration, mode=params.bandwidth_mode)
 
-    fits, paths = evaluate(net, [p.position for p in swarm.particles], swarm.source,
-                           swarm.destination, swarm.decode_params)
+    positions = np.stack([p.position for p in swarm.particles])
+    fits, paths = evaluate(net, positions, swarm.source, swarm.destination, swarm.decode_params)
     pbest_pos, pbest_fit, pbest_path = [], [], []
     for p, fit, path in zip(swarm.particles, fits, paths):
         if path is not None and fit > p.pbest_fitness:
@@ -112,7 +112,6 @@ def step(swarm: Swarm, network: Network, seed) -> Swarm:
     if pbest_fit[best] > gbest_fit:
         gbest_pos, gbest_fit, gbest_path = pbest_pos[best], pbest_fit[best], pbest_path[best]
 
-    positions = np.stack([p.position for p in swarm.particles])
     velocities = np.stack([p.velocity for p in swarm.particles])
     pbests = np.stack(pbest_pos)
     gen = make_rng(seed, PSO_STEP, iteration)

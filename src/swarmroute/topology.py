@@ -10,7 +10,7 @@ rule is written; the experiment config calls them too.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,17 +100,24 @@ def partition_regions(n_nodes: int) -> RegionLayout:
 class Network:
     """Undirected weighted graph over a region layout.
 
-    `links` maps id pairs (u, v) with u < v to a positive bandwidth; the
-    adjacency view is derived once at construction. Instances are treated
-    as immutable values: operations that change bandwidths return new
-    networks.
+    `links` maps id pairs (u, v) with u < v to a finite, positive bandwidth.
+    Derived once at construction from the normalized links: the sorted
+    neighbor tuples, the sorted links' end arrays, a dense n x n
+    `bandwidths` matrix (0.0 where there is no link), and an empty
+    `move_tables` cache that `encoding` fills. Instances are treated as
+    immutable values: operations that change bandwidths return new
+    networks, which share every part derived from the link set with their
+    parent.
     """
 
     layout: RegionLayout
     links: dict[tuple[int, int], float]
     seed: int
     bandwidth_range: tuple[float, float] | None = None
-    _adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _neighbors: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _link_ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    bandwidths: np.ndarray = field(init=False, repr=False, compare=False)
+    move_tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.layout.n_nodes
@@ -122,8 +129,8 @@ class Network:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"link ({u}, {v}) outside node range 0..{n - 1}")
-            if bw <= 0:
-                raise ValueError(f"non-positive bandwidth {bw} on link ({u}, {v})")
+            if not (math.isfinite(bw) and bw > 0):
+                raise ValueError(f"bandwidth {bw} on link ({u}, {v}) is not finite and positive")
             if u > v:
                 u, v = v, u
             if (u, v) in normalized:
@@ -132,14 +139,25 @@ class Network:
             neighbor_sets[u].append(v)
             neighbor_sets[v].append(u)
         self.links = normalized
-        self._adjacency = {node: tuple(sorted(nbrs)) for node, nbrs in neighbor_sets.items()}
+        self._neighbors = {node: tuple(sorted(nbrs)) for node, nbrs in neighbor_sets.items()}
+        keys = sorted(normalized)
+        self._link_ends = tuple(np.array(keys, dtype=np.intp).reshape(-1, 2).T)
+        self._set_bandwidths([normalized[key] for key in keys])
+        self.move_tables = {}
+
+    def _set_bandwidths(self, values):
+        """Fill `bandwidths` from one value per link, in sorted (u, v) order."""
+        u, v = self._link_ends
+        self.bandwidths = np.zeros((self.n_nodes, self.n_nodes))
+        self.bandwidths[u, v] = self.bandwidths[v, u] = values
+        self.bandwidths.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
         return self.layout.n_nodes
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._adjacency[node]
+        return self._neighbors[node]
 
     def has_link(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.links
@@ -158,7 +176,7 @@ class Network:
                    bandwidth_range=bandwidth_range)
 
     def to_json(self) -> dict:
-        """JSON form: {pn, a, sizes, links, seed}, links sorted by (u, v)."""
+        """JSON form: {pn, a, sizes, links, seed, bandwidth_range}, links sorted by (u, v)."""
         return {
             "pn": self.layout.n_nodes,
             "a": self.layout.n_regions,
@@ -166,15 +184,24 @@ class Network:
             "links": [{"u": u, "v": v, "bandwidth": self.links[(u, v)]}
                       for u, v in sorted(self.links)],
             "seed": self.seed,
+            "bandwidth_range": (None if self.bandwidth_range is None
+                                else list(self.bandwidth_range)),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Network":
+        """Inverse of to_json; a form without `bandwidth_range` loads with None."""
         layout = partition_regions(int(data["pn"]))
         if layout.n_regions != data["a"] or list(layout.sizes) != list(data["sizes"]):
             raise ValueError("region metadata does not match the node count")
         links = {(int(l["u"]), int(l["v"])): float(l["bandwidth"]) for l in data["links"]}
-        return cls(layout=layout, links=links, seed=int(data["seed"]))
+        bandwidth_range = data.get("bandwidth_range")
+        if bandwidth_range is not None:
+            b_min, b_max = (float(b) for b in bandwidth_range)
+            check_bandwidth_range(b_min, b_max, layout.n_nodes)
+            bandwidth_range = (b_min, b_max)
+        return cls(layout=layout, links=links, seed=int(data["seed"]),
+                   bandwidth_range=bandwidth_range)
 
 
 def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,
@@ -239,12 +266,23 @@ def perturb_bandwidths(network: Network, seed, iteration: int, mode="dynamic") -
 
 
 def _draw_bandwidths(network, gen, b_min, b_max):
-    """Copy of `network` with one uniform [b_min, b_max] draw per link, in (u, v) order."""
-    keys = sorted(network.links)
-    draws = gen.uniform(b_min, b_max, size=len(keys))
-    links = {key: float(bw) for key, bw in zip(keys, draws)}
-    return Network(layout=network.layout, links=links, seed=network.seed,
-                   bandwidth_range=(float(b_min), float(b_max)))
+    """Copy of `network` with one uniform [b_min, b_max] draw per link, in (u, v) order.
+
+    Only the bandwidth data is new: the link set is unchanged, so the copy
+    shares its parent's layout, neighbors, link ends and move tables and
+    is not re-validated. Fields are set one by one in field order, as
+    construction sets them; `copy.copy` would give the copy a materialized
+    `__dict__`, which makes every attribute read on it slower.
+    """
+    u, v = network._link_ends
+    draws = gen.uniform(b_min, b_max, size=u.size)
+    out = object.__new__(Network)
+    for f in fields(Network):
+        setattr(out, f.name, getattr(network, f.name))
+    out.links = dict(zip(zip(u.tolist(), v.tolist()), draws.tolist()))
+    out.bandwidth_range = (float(b_min), float(b_max))
+    out._set_bandwidths(draws)
+    return out
 
 
 def build_network(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,

@@ -2,9 +2,11 @@ import math
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from swarmroute import Network, build_network
+from swarmroute import DeadEnd, Network, NoPathFound, Path, build_network, path_fitness
+from swarmroute.encoding import MAX_DRAWS, check_endpoints
 
 
 @pytest.fixture
@@ -75,3 +77,84 @@ def to_nx(network):
     graph.add_nodes_from(range(network.n_nodes))
     graph.add_edges_from(network.links)
     return graph
+
+
+# ---- reference decoder: the per-vector sentinel loop the library used before
+# it decoded whole populations over a cached move table, kept verbatim so the
+# batched `evaluate`/`draw_population` and the new `decode` are pinned to it ----
+
+SENTINEL_PRIORITY = -999.0
+
+
+def reference_heuristic_allows(source, destination, terminal, candidate, window) -> bool:
+    if source < destination:
+        return candidate - terminal > -window
+    return candidate - terminal < window
+
+
+def reference_eligible_neighbors(network, working_priorities, path_so_far, source, destination,
+                                 params) -> set[int]:
+    terminal = path_so_far[-1]
+    out = set()
+    for nb in network.neighbors(terminal):
+        if working_priorities[nb] == SENTINEL_PRIORITY:
+            continue
+        if nb != destination and not reference_heuristic_allows(source, destination, terminal,
+                                                                nb, params.window):
+            continue
+        out.add(nb)
+    return out
+
+
+def reference_decode(network, priorities, source, destination, params) -> Path:
+    n = network.n_nodes
+    source, destination = int(source), int(destination)
+    check_endpoints(n, source, destination)
+    pri = np.asarray(priorities, dtype=float)
+    if pri.shape != (n,):
+        raise ValueError(f"priority vector shape {pri.shape} does not match {n} nodes")
+
+    working = pri.tolist()  # private copy; plain floats keep the loop cheap
+    path = [source]
+    working[source] = SENTINEL_PRIORITY
+    while path[-1] != destination:
+        candidates = reference_eligible_neighbors(network, working, path, source, destination,
+                                                  params)
+        if not candidates:
+            raise DeadEnd(path, destination)
+        nxt = max(candidates, key=lambda nb: (working[nb], -nb))
+        path.append(nxt)
+        working[nxt] = SENTINEL_PRIORITY
+    return Path(tuple(path))
+
+
+def reference_evaluate(network, vectors, source, destination, dparams):
+    fits, paths = [], []
+    for vec in vectors:
+        try:
+            path = reference_decode(network, vec, source, destination, dparams)
+        except DeadEnd:
+            fits.append(0.0)
+            paths.append(None)
+            continue
+        fits.append(path_fitness(network, path))
+        paths.append(path)
+    return fits, paths
+
+
+def reference_draw_population(network, size, source, destination, dparams, rng):
+    """One `rng.random(n)` draw per attempt, MAX_DRAWS attempts per member."""
+    vectors, paths = [], []
+    for _ in range(size):
+        for _ in range(MAX_DRAWS):
+            pri = rng.random(network.n_nodes)
+            try:
+                path = reference_decode(network, pri, source, destination, dparams)
+            except DeadEnd:
+                continue
+            vectors.append(pri)
+            paths.append(path)
+            break
+        else:
+            raise NoPathFound(source, destination, attempts=MAX_DRAWS)
+    return vectors, [path_fitness(network, path) for path in paths], paths

@@ -4,67 +4,111 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmroute import (DeadEnd, DecodeParams, Network, NoPathFound, Path, build_network,
-                        decode, eligible_neighbors, heuristic_allows, random_priorities)
-from swarmroute.encoding import MAX_DRAWS, SENTINEL_PRIORITY, draw_valid_priorities
+                        decode, perturb_bandwidths, random_priorities)
+from swarmroute.encoding import (MAX_DRAWS, draw_population, draw_valid_priorities, evaluate,
+                                 move_table)
 from swarmroute.rng import make_rng
 
-from conftest import assert_valid_path
+from conftest import (assert_valid_path, reference_decode, reference_draw_population,
+                      reference_evaluate)
+
+
+def complete_network(n):
+    return Network.from_links(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+COMPLETE_64 = complete_network(64)
+
+
+def allowed_moves(net, source, destination, window):
+    """allowed[t, c]: whether c may follow terminal t, read off the move table."""
+    return move_table(net, source, destination, window).penalty == 0
 
 
 class TestHeuristicAllows:
+    """The id-window rule, read from the move table of a complete network."""
+
     @pytest.mark.parametrize("window", [1, 3, 5, 8])
     def test_ascending_boundary(self, window):
-        # candidate exactly window below the terminal is the first rejection
-        assert not heuristic_allows(0, 9, 5, 5 - window, window)
-        assert heuristic_allows(0, 9, 5, 5 - window + 1, window)
+        # from terminal 10, a candidate exactly window below is the first rejection
+        allowed = allowed_moves(complete_network(20), 0, 19, window)
+        assert set(np.flatnonzero(allowed[10])) == {
+            c for c in range(20) if c != 10 and c - 10 > -window}
+        assert not allowed[10, 10 - window]
 
     @pytest.mark.parametrize("window", [1, 3, 5, 8])
     def test_descending_boundary(self, window):
-        assert not heuristic_allows(9, 0, 5, 5 + window, window)
-        assert heuristic_allows(9, 0, 5, 5 + window - 1, window)
+        allowed = allowed_moves(complete_network(20), 19, 0, window)
+        assert set(np.flatnonzero(allowed[10])) == {
+            c for c in range(20) if c != 10 and (c - 10 < window or c == 0)}
+        assert not allowed[10, 10 + window]
+
+    def test_nothing_follows_the_destination(self):
+        assert not allowed_moves(complete_network(8), 0, 5, 8)[5].any()
 
     def test_window_five_rejects_distant_backstep(self):
-        assert not heuristic_allows(0, 20, 10, 4, 5)  # 4 - 10 = -6 <= -5
+        net = Network.from_links(21, [(10, 4), (10, 12)])
+        assert not allowed_moves(net, 0, 20, 5)[10, 4]  # 4 - 10 = -6 <= -5
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
     @settings(max_examples=300)
     def test_window_at_least_n_allows_everything(self, source, destination, terminal, candidate):
-        assert heuristic_allows(source, destination, terminal, candidate, 64)
+        allowed = allowed_moves(COMPLETE_64, source, destination, 64)
+        assert allowed[terminal, candidate] == (terminal not in (candidate, destination))
 
 
 class TestEligibleNeighbors:
-    def params(self, window=5):
-        return DecodeParams(window=window)
+    """Which nodes may be appended next: the terminal's move-table row minus
+    the nodes already on the path (what `decode` reads each hop)."""
+
+    def eligible(self, net, path, source, destination, window=5):
+        successors = move_table(net, source, destination, window).successors
+        return {node for node in successors[path[-1]] if node not in path}
 
     def test_destination_sole_neighbor(self):
         net = Network.from_links(4, [(0, 1), (1, 3), (2, 3)])
-        working = [SENTINEL_PRIORITY, SENTINEL_PRIORITY, 0.5, 0.5]
-        assert eligible_neighbors(net, working, [0, 1], 0, 3, self.params()) == {3}
+        assert self.eligible(net, [0, 1], 0, 3) == {3}
 
     def test_all_selected_gives_empty_set(self):
         net = Network.from_links(4, [(0, 1), (0, 2), (1, 2)])
-        working = [SENTINEL_PRIORITY] * 4
-        assert eligible_neighbors(net, working, [0, 2, 1], 0, 3, self.params()) == set()
+        assert self.eligible(net, [0, 2, 1], 0, 3) == set()
 
     def test_line_graph_excludes_selected(self):
         net = Network.from_links(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        working = [SENTINEL_PRIORITY, SENTINEL_PRIORITY, 0.3, 0.9, 0.1]
-        assert eligible_neighbors(net, working, [0, 1], 0, 4, self.params(window=5)) == {2}
+        assert self.eligible(net, [0, 1], 0, 4, window=5) == {2}
 
     def test_window_filters_backsteps(self):
         # from terminal 10, neighbor 4 trails by 6 >= window 5
         net = Network.from_links(21, [(10, 4), (10, 12)])
-        working = [0.5] * 21
-        got = eligible_neighbors(net, working, [0, 10], 0, 20, self.params(window=5))
-        assert got == {12}
+        assert self.eligible(net, [0, 10], 0, 20, window=5) == {12}
 
     def test_destination_exempt_from_window(self):
         # destination 2 trails terminal 5 by 3 >= window 2, but stays eligible
         net = Network.from_links(6, [(0, 5), (5, 2), (5, 1)])
-        working = [SENTINEL_PRIORITY, 0.9, 0.9, 0.5, 0.5, SENTINEL_PRIORITY]
-        got = eligible_neighbors(net, working, [0, 5], 0, 2, self.params(window=2))
+        got = self.eligible(net, [0, 5], 0, 2, window=2)
         assert 2 in got
         assert got == {2}  # neighbor 1 trails by 4, filtered
+
+
+class TestMoveTable:
+    def test_successors_match_allowed_rows(self, small_net):
+        table = move_table(small_net, 11, 0, 4)
+        allowed = table.penalty == 0
+        assert table.successors == tuple(tuple(np.flatnonzero(row)) for row in allowed)
+        assert not (allowed & (small_net.bandwidths == 0)).any()
+        assert set(np.unique(table.penalty)) == {0.0, -np.inf}
+
+    def test_cached_and_shared_by_resampled_networks(self, small_net):
+        table = move_table(small_net, 0, 11, 4)
+        assert move_table(small_net, 0, 11, 4) is table
+        assert move_table(perturb_bandwidths(small_net, seed=1, iteration=2), 0, 11, 4) is table
+        assert move_table(small_net, 0, 11, 3) is not table
+        assert not table.penalty.flags.writeable
+
+    def test_cache_holds_the_latest_table(self, small_net):
+        move_table(small_net, 0, 11, 4)
+        latest = move_table(small_net, 0, 10, 4)
+        assert small_net.move_tables == {(0, 10, 4): latest}
 
 
 class TestDecode:
@@ -212,3 +256,136 @@ class TestDecodeParams:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             DecodeParams(window=0)
+
+
+class TestNonFinitePriorities:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_decode_rejects(self, diamond_net, bad):
+        with pytest.raises(ValueError, match="finite"):
+            decode(diamond_net, [0.5, bad, 0.1, 0.5], 0, 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_evaluate_rejects(self, diamond_net, bad):
+        vectors = [[0.5, 0.9, 0.1, 0.5], [0.5, 0.1, bad, 0.5]]
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(diamond_net, vectors, 0, 3, DecodeParams(window=2))
+
+    def test_minus_999_is_an_ordinary_priority(self, line_net):
+        # it used to mark node 1 as already on the path and strand the walk at 0
+        pri = [0.5, -999.0, 0.5, 0.5]
+        assert decode(line_net, pri, 0, 3).nodes == (0, 1, 2, 3)
+        fits, paths = evaluate(line_net, [pri], 0, 3, DecodeParams(window=2))
+        assert paths[0].nodes == (0, 1, 2, 3)
+        assert fits == [1 / 3]
+
+    def test_minus_999_loses_to_higher_priorities(self, diamond_net):
+        assert decode(diamond_net, [0.5, 0.1, -999.0, 0.5], 0, 3).nodes == (0, 1, 3)
+
+
+@st.composite
+def decode_cases(draw):
+    """A build_network network (4-64 nodes, maybe resampled once), random
+    distinct endpoints in either id order, and a tie-heavy priority matrix."""
+    n = draw(st.integers(4, 64))
+    net = build_network(n, seed=draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        net = perturb_bandwidths(net, seed=draw(st.integers(0, 100)), iteration=1)
+    source = draw(st.integers(0, n - 1))
+    destination = draw(st.integers(0, n - 1).filter(lambda d: d != source))
+    rows = draw(st.integers(1, 12))
+    values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=rows * n,
+                           max_size=rows * n))
+    return net, source, destination, np.array(values).reshape(rows, n)
+
+
+class TestBatchedDecoder:
+    """`evaluate` and `decode` against the reference per-vector loop."""
+
+    @given(decode_cases())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_reference(self, case):
+        net, source, destination, matrix = case
+        dparams = DecodeParams.for_network(net)
+        fits, paths = evaluate(net, matrix, source, destination, dparams)
+        ref_fits, ref_paths = reference_evaluate(net, matrix, source, destination, dparams)
+        assert paths == ref_paths
+        assert [f.hex() for f in fits] == [f.hex() for f in ref_fits]  # bit-identical
+        for vec, ref_path in zip(matrix, ref_paths):
+            if ref_path is None:
+                with pytest.raises(DeadEnd) as exc:
+                    decode(net, vec, source, destination, dparams)
+                with pytest.raises(DeadEnd) as ref_exc:
+                    reference_decode(net, vec, source, destination, dparams)
+                assert exc.value.partial_path == ref_exc.value.partial_path
+            else:
+                assert decode(net, vec, source, destination, dparams) == ref_path
+
+    def test_uniform_priorities_on_paper_networks(self):
+        decoded = 0
+        for seed in range(40):
+            net = build_network(21, seed=seed)
+            matrix = make_rng(seed, 99).random((40, 21))
+            dparams = DecodeParams.for_network(net)
+            fits, paths = evaluate(net, matrix, 0, 20, dparams)
+            assert (fits, paths) == reference_evaluate(net, matrix, 0, 20, dparams)
+            decoded += sum(path is not None for path in paths)
+        assert decoded > 1000  # mostly real paths, some dead ends
+
+    def test_dead_end_scores_zero(self):
+        net = Network.from_links(4, [(0, 1), (1, 2), (0, 3)])
+        fits, paths = evaluate(net, [[0.5, 0.9, 0.5, 0.1], [0.5, 0.1, 0.5, 0.9]], 0, 3,
+                               DecodeParams(window=2))
+        assert fits == [0.0, 1.0]
+        assert paths == [None, Path((0, 3))]
+
+    def test_input_matrix_untouched(self, small_net):
+        matrix = make_rng(3).random((8, 12))
+        before = matrix.tobytes()
+        evaluate(small_net, matrix, 0, 11, DecodeParams.for_network(small_net))
+        assert matrix.tobytes() == before
+
+    def test_wrong_width_rejected(self, line_net):
+        with pytest.raises(ValueError):
+            evaluate(line_net, [[0.1] * 5], 0, 3, DecodeParams(window=2))
+
+    def test_same_endpoints_rejected(self, line_net):
+        with pytest.raises(ValueError):
+            evaluate(line_net, [[0.1] * 4], 2, 2, DecodeParams(window=2))
+
+
+class TestDrawPopulation:
+    @pytest.mark.parametrize("intra,inter", [(0.6, 0.15), (0.3, 0.05)])
+    def test_matches_sequential_draws(self, intra, inter):
+        outcomes = set()
+        for seed in range(25):
+            net = build_network(21, seed=seed, intra_density=intra, inter_density=inter)
+            source, destination = seed % 21, 20 - seed % 7
+            if source == destination:
+                continue
+            dparams = DecodeParams.for_network(net)
+            try:
+                expected = reference_draw_population(net, 40, source, destination, dparams,
+                                                     make_rng(seed))
+            except NoPathFound as ref_exc:
+                with pytest.raises(NoPathFound) as exc:
+                    draw_population(net, 40, source, destination, dparams, make_rng(seed))
+                assert str(exc.value) == str(ref_exc)
+                outcomes.add("raised")
+                continue
+            vectors, fits, paths = draw_population(net, 40, source, destination, dparams,
+                                                   make_rng(seed))
+            assert np.stack(vectors).tobytes() == np.stack(expected[0]).tobytes()
+            assert [f.hex() for f in fits] == [f.hex() for f in expected[1]]
+            assert paths == expected[2]
+            outcomes.add("drawn")
+        assert "drawn" in outcomes
+
+    def test_undecodable_pair_raises_like_sequential(self):
+        net = Network.from_links(4, [(0, 1)])  # 3 is isolated
+        dparams = DecodeParams(window=2)
+        with pytest.raises(NoPathFound) as ref_exc:
+            reference_draw_population(net, 5, 0, 3, dparams, make_rng(0))
+        with pytest.raises(NoPathFound) as exc:
+            draw_population(net, 5, 0, 3, dparams, make_rng(0))
+        assert exc.value.attempts == ref_exc.value.attempts == MAX_DRAWS
+        assert str(exc.value) == str(ref_exc.value)

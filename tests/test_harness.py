@@ -229,6 +229,32 @@ class TestEmit:
         assert exc.value.code == 2
         assert "yaml" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
+    def test_out_checked_before_any_cell_runs(self, where, capsys, tmp_path, monkeypatch):
+        def never(config):
+            raise AssertionError("compare ran although --out cannot be written")
+
+        monkeypatch.setattr(cli, "compare", never)
+        (tmp_path / "file").write_text("kept")
+        target = {"missing-dir": tmp_path / "missing" / "report.csv",
+                  "directory": tmp_path,
+                  "under-a-file": tmp_path / "file" / "report.csv"}[where]
+        assert cli.main(TINY_COMPARE_ARGV + ["--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {target}: ")
+        assert (tmp_path / "file").read_text() == "kept"
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("extra,code", [(["--budgets", "3-1"], 2),
+                                            (["--no-ensure-connected", "--intra-density", "0",
+                                              "--inter-density", "0"], 3)])
+    def test_failed_run_leaves_out_file_untouched(self, extra, code, capsys, tmp_path):
+        target = tmp_path / "report.csv"
+        target.write_text("previous report")
+        assert cli.main(TINY_COMPARE_ARGV + extra + ["--out", str(target)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert target.read_text() == "previous report"
+
     def test_emit_surfaces_io_failure_with_path(self, capsys):
         code = cli.main(TINY_COMPARE_ARGV + ["--out", "/nonexistent-dir/report.csv"])
         err = capsys.readouterr().err

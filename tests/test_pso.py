@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from swarmroute import (DecodeParams, InvalidPath, Network, NoPathFound, Path, PsoParams,
                         build_network, init_swarm, path_fitness, run_pso)
+from swarmroute.encoding import evaluate
 from swarmroute.pso import Particle, Swarm, step
 from swarmroute.topology import perturb_bandwidths
 
@@ -17,6 +20,17 @@ class TestPathFitness:
     def test_direct_substitution(self):
         net = Network.from_links(4, [(0, 1, 10.0), (1, 2, 30.0), (2, 3, 10.0)])
         assert path_fitness(net, Path((0, 1, 2, 3))) == pytest.approx(0.2, abs=0)
+
+    def test_adds_bandwidths_left_to_right(self):
+        # 2**53 + 1 rounds back to 2**53 eight times over; a compensated sum
+        # (Python 3.12+ `sum`) would keep all eight and give another float
+        bws = [1.0, 2.0 ** 53] + [1.0] * 8
+        net = Network.from_links(11, [(u, u + 1, bw) for u, bw in enumerate(bws)])
+        fit = path_fitness(net, Path(tuple(range(11))))
+        assert fit == 1.0 / 2.0 ** 53
+        assert fit != 1.0 / math.fsum(bws)
+        fits, _ = evaluate(net, np.zeros((1, 11)), 0, 10, DecodeParams.for_network(net))
+        assert fits == [fit]
 
     def test_zero_link_path_rejected(self, diamond_net):
         with pytest.raises(InvalidPath):

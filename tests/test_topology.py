@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 
+import numpy as np
+
 from swarmroute import (InvalidBandwidthRange, InvalidNodeCount, Network,
-                        assign_bandwidths, generate_topology, partition_regions,
+                        assign_bandwidths, build_network, generate_topology, partition_regions,
                         perturb_bandwidths)
 
 from conftest import bfs_reachable
@@ -153,6 +156,16 @@ class TestPerturbBandwidths:
         with pytest.raises(ValueError):
             perturb_bandwidths(bare, seed=0, iteration=1)
 
+    def test_resample_swaps_only_bandwidths(self, net):
+        out = perturb_bandwidths(net, seed=1, iteration=1)
+        assert list(out.links) == sorted(net.links)
+        assert out.move_tables is net.move_tables
+        assert out.neighbors(3) == net.neighbors(3)
+        assert out == Network(layout=net.layout, links=out.links, seed=net.seed,
+                              bandwidth_range=net.bandwidth_range)
+        assert (out.bandwidths != net.bandwidths).any()
+        assert all(out.bandwidths[v, u] == bw for (u, v), bw in out.links.items())
+
     def test_unknown_mode_rejected(self, net):
         with pytest.raises(ValueError):
             perturb_bandwidths(net, seed=0, iteration=1, mode="wobble")
@@ -171,9 +184,29 @@ class TestNetworkValue:
         with pytest.raises(ValueError):
             Network.from_links(4, [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("bw", [math.nan, math.inf])
+    def test_rejects_non_finite_bandwidth(self, bw):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            Network.from_links(4, [(0, 1, bw)])
+        data = Network.from_links(4, [(0, 1, 2.0)]).to_json()
+        data["links"][0]["bandwidth"] = bw  # what json.loads makes of NaN / Infinity
+        with pytest.raises(ValueError, match="not finite and positive"):
+            Network.from_json(data)
+
     def test_rejects_duplicate_after_normalization(self):
         with pytest.raises(ValueError):
             Network.from_links(4, [(0, 1), (1, 0)])
+
+    def test_matrices_mirror_links(self):
+        net = Network.from_links(5, [(3, 0, 2.5), (1, 2, 4.0)])
+        expected = np.zeros((5, 5))
+        expected[0, 3] = expected[3, 0] = 2.5
+        expected[1, 2] = expected[2, 1] = 4.0
+        assert np.array_equal(net.bandwidths, expected)
+        net = build_network(21, seed=2)
+        assert all(net.bandwidths[u, v] == net.bandwidths[v, u] == bw
+                   for (u, v), bw in net.links.items())
+        assert np.count_nonzero(net.bandwidths) == 2 * len(net.links)
 
     def test_neighbors_sorted(self):
         net = Network.from_links(5, [(0, 3), (0, 1), (0, 2)])
@@ -182,13 +215,39 @@ class TestNetworkValue:
     def test_json_round_trip(self):
         net = assign_bandwidths(generate_topology(21, seed=8), seed=8)
         data = net.to_json()
-        assert list(data) == ["pn", "a", "sizes", "links", "seed"]
+        assert list(data) == ["pn", "a", "sizes", "links", "seed", "bandwidth_range"]
         pairs = [(l["u"], l["v"]) for l in data["links"]]
         assert pairs == sorted(pairs)
         back = Network.from_json(json.loads(json.dumps(data)))
         assert back.links == net.links
         assert back.layout == net.layout
         assert back.seed == net.seed
+        assert back.bandwidth_range == net.bandwidth_range == (1.0, 100.0)
+
+    @pytest.mark.parametrize("n", [4, 21, 64])
+    def test_json_round_trip_is_lossless(self, n):
+        net = build_network(n, seed=n)
+        back = Network.from_json(json.loads(json.dumps(net.to_json())))
+        assert back == net
+        assert Network.from_json(net.to_json()) == net
+        # the loaded network carries its range, so it can run in dynamic mode
+        assert perturb_bandwidths(back, seed=3, iteration=2) == perturb_bandwidths(
+            net, seed=3, iteration=2)
+
+    def test_json_without_range_loads_unassigned(self):
+        data = build_network(8, seed=1).to_json()
+        del data["bandwidth_range"]
+        assert Network.from_json(data).bandwidth_range is None
+        bare = generate_topology(8, seed=1)
+        assert bare.to_json()["bandwidth_range"] is None
+        assert Network.from_json(bare.to_json()) == bare
+
+    @pytest.mark.parametrize("bad", [[0.0, 10.0], [10.0, 5.0], [1.0, float("inf")]])
+    def test_from_json_rejects_bad_range(self, bad):
+        data = build_network(8, seed=1).to_json()
+        data["bandwidth_range"] = bad
+        with pytest.raises(InvalidBandwidthRange):
+            Network.from_json(data)
 
     def test_json_byte_stable(self):
         a = assign_bandwidths(generate_topology(12, seed=2), seed=2)
