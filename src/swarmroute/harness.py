@@ -4,16 +4,21 @@
 seeds, always feeding the same network and base seed to both sides, and
 reports fitness, hop count and wall time per cell plus mean/median
 aggregates and two directional verdict booleans (PSO at least as fit on
-average, PSO at least as fast on average). `brute_force_best` enumerates
-every simple path on small networks as an exact reference. The config
-checks its values with the owning modules' check functions when built.
+average, PSO at least as fast on average). `brute_force_best` is the
+exact reference on small networks: a depth-first search over simple paths
+that carries each prefix's first-link bandwidth and running total, and
+skips a prefix once first / total falls below the best fitness found, since
+adding links only grows the total. The skipped prefixes cannot beat or tie
+the best, so the result is the one enumerating every path would give. The
+config checks its values with the owning modules' check functions when
+built.
 """
 
 import json
 import statistics
 from dataclasses import asdict, dataclass, field, replace
 
-from .encoding import NoPathFound, Path, check_endpoints, path_fitness
+from .encoding import NoPathFound, Path, check_endpoints
 from .errors import InvalidConfig
 from .ga import GaParams, run_ga
 from .pso import PsoParams, run_pso
@@ -149,42 +154,66 @@ def compare(config: ExperimentConfig) -> Report:
 
 
 def brute_force_best(network: Network, source, destination, cap=DEFAULT_ORACLE_CAP):
-    """Exhaustive search over all simple paths; returns (path, fitness).
+    """Exact best simple path by branch and bound; returns (path, fitness).
 
-    Depth-first enumeration in ascending neighbor order, so fitness ties
-    resolve to the lexicographically smallest node sequence. Only meant for
-    small networks; refuses anything above `cap` nodes.
+    One depth-first search in ascending neighbor order, so complete paths
+    come in lexicographic order and keeping a path only on strictly greater
+    fitness resolves ties to the lexicographically smallest node sequence.
+    The search carries the prefix's first-link bandwidth and its running
+    total, added left to right in path order as `path_fitness` adds them,
+    so each path's fitness is the float `path_fitness` gives.
+
+    Bound: a prefix is not extended when first / total < best. Adding a
+    positive bandwidth never lowers a rounded total and rounded division is
+    monotone in its divisor, so no completion of that prefix can beat or
+    tie the best; the result is the one full enumeration would give. Only
+    meant for small networks; refuses anything above `cap` nodes.
     """
-    if network.n_nodes > cap:
-        raise OracleTooLarge(f"{network.n_nodes} nodes exceeds the enumeration cap {cap}")
+    n = network.n_nodes
+    if n > cap:
+        raise OracleTooLarge(f"{n} nodes exceeds the enumeration cap {cap}")
     source, destination = int(source), int(destination)
-    check_endpoints(network.n_nodes, source, destination)
-    best_path: Path | None = None
-    best_fitness = 0.0
-
-    visited = {source}
+    check_endpoints(n, source, destination)
+    rows = [[(nb, network.bandwidth(node, nb)) for nb in network.neighbors(node)]
+            for node in range(n)]
+    best_nodes = None
+    best_fitness = -1.0  # below any fitness, which may underflow to 0.0
+    on_path = [False] * n
+    on_path[source] = True
     prefix = [source]
 
-    def visit(node):
-        nonlocal best_path, best_fitness
-        for nb in network.neighbors(node):
+    def extend(node, first, total):
+        nonlocal best_nodes, best_fitness
+        for nb, bw in rows[node]:
+            if on_path[nb]:
+                continue
+            path_total = total + bw
+            fit = first / path_total
             if nb == destination:
-                candidate = Path(tuple(prefix) + (nb,))
-                fit = path_fitness(network, candidate)
-                if best_path is None or fit > best_fitness or (
-                        fit == best_fitness and candidate.nodes < best_path.nodes):
-                    best_path, best_fitness = candidate, fit
-            elif nb not in visited:
-                visited.add(nb)
+                if fit > best_fitness:
+                    best_nodes, best_fitness = (*prefix, nb), fit
+            elif fit >= best_fitness:
+                on_path[nb] = True
                 prefix.append(nb)
-                visit(nb)
+                extend(nb, first, path_total)
                 prefix.pop()
-                visited.discard(nb)
+                on_path[nb] = False
 
-    visit(source)
-    if best_path is None:
+    for nb, bw in rows[source]:
+        if nb == destination:
+            # the one-link path scores exactly 1.0, but a lexicographically
+            # smaller path may already score 1.0 once its later links round away
+            if 1.0 > best_fitness:
+                best_nodes, best_fitness = (source, nb), 1.0
+        else:
+            on_path[nb] = True
+            prefix.append(nb)
+            extend(nb, bw, bw)
+            prefix.pop()
+            on_path[nb] = False
+    if best_nodes is None:
         raise NoPathFound(source, destination)
-    return best_path, best_fitness
+    return Path(best_nodes), best_fitness
 
 
 def render_csv(report: Report) -> str:

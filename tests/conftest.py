@@ -7,6 +7,7 @@ import pytest
 
 from swarmroute import DeadEnd, Network, NoPathFound, Path, build_network, path_fitness
 from swarmroute.encoding import MAX_DRAWS, check_endpoints
+from swarmroute.harness import DEFAULT_ORACLE_CAP, OracleTooLarge
 
 
 @pytest.fixture
@@ -158,3 +159,46 @@ def reference_draw_population(network, size, source, destination, dparams, rng):
         else:
             raise NoPathFound(source, destination, attempts=MAX_DRAWS)
     return vectors, [path_fitness(network, path) for path in paths], paths
+
+
+# ---- reference oracle: the exhaustive enumeration `brute_force_best` ran before
+# it carried bandwidth sums down the search and pruned, kept verbatim so the
+# branch-and-bound oracle is pinned to it ----
+
+def reference_brute_force_best(network: Network, source, destination, cap=DEFAULT_ORACLE_CAP):
+    """Exhaustive search over all simple paths; returns (path, fitness).
+
+    Depth-first enumeration in ascending neighbor order, so fitness ties
+    resolve to the lexicographically smallest node sequence. Only meant for
+    small networks; refuses anything above `cap` nodes.
+    """
+    if network.n_nodes > cap:
+        raise OracleTooLarge(f"{network.n_nodes} nodes exceeds the enumeration cap {cap}")
+    source, destination = int(source), int(destination)
+    check_endpoints(network.n_nodes, source, destination)
+    best_path: Path | None = None
+    best_fitness = 0.0
+
+    visited = {source}
+    prefix = [source]
+
+    def visit(node):
+        nonlocal best_path, best_fitness
+        for nb in network.neighbors(node):
+            if nb == destination:
+                candidate = Path(tuple(prefix) + (nb,))
+                fit = path_fitness(network, candidate)
+                if best_path is None or fit > best_fitness or (
+                        fit == best_fitness and candidate.nodes < best_path.nodes):
+                    best_path, best_fitness = candidate, fit
+            elif nb not in visited:
+                visited.add(nb)
+                prefix.append(nb)
+                visit(nb)
+                prefix.pop()
+                visited.discard(nb)
+
+    visit(source)
+    if best_path is None:
+        raise NoPathFound(source, destination)
+    return best_path, best_fitness

@@ -188,9 +188,10 @@ C9_ARGV = [
 ]
 
 # Golden outputs: masked stdout of the c9 runs plus the dynamic-bandwidth and
-# GA operator variants, one file per case under tests/golden/. At seed 4 the
-# single runs find the direct 0-11 link at once, so the variants use seed 7,
-# where both optimizers improve on their initial best.
+# GA operator variants and a dense oracle run, one file per case under
+# tests/golden/. At seed 4 the single runs find the direct 0-11 link at once,
+# so the variants use seed 7, where both optimizers improve on their initial
+# best.
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "generate": C9_ARGV[0],
@@ -206,6 +207,9 @@ GOLDEN_CASES = {
                                       "--iterations", "10", "--population", "8",
                                       "--crossover", "2pt", "--mutation", "adjswap",
                                       "--no-elitism"],
+    # 36 links, 10 the highest non-neighbour of 0: the optimum 0-11-10 takes two hops
+    "oracle+dense": ["oracle", "--nodes", "12", "--seed", "2", "--intra-density", "0.8",
+                     "--inter-density", "0.3", "--dest", "10"],
 }
 
 
