@@ -14,7 +14,7 @@ from .ga import (GaParams, GaResult, crossover_one_point, crossover_two_point,
                  mutate_adjacent_swap, mutate_swap, run_ga)
 from .harness import (ExperimentConfig, IterationRecord, OracleTooLarge, Report,
                       brute_force_best, compare, render_csv, render_json)
-from .pso import Particle, PsoParams, PsoResult, Swarm, init_swarm, run_pso
+from .pso import PsoParams, PsoResult, Swarm, init_swarm, run_pso
 from .topology import (InvalidBandwidthRange, InvalidNodeCount, Network, RegionLayout,
                        assign_bandwidths, build_network, generate_topology, partition_regions,
                        perturb_bandwidths)
@@ -27,7 +27,7 @@ __all__ = [
     "mutate_adjacent_swap", "mutate_swap", "run_ga",
     "ExperimentConfig", "IterationRecord", "OracleTooLarge", "Report",
     "brute_force_best", "compare", "render_csv", "render_json",
-    "Particle", "PsoParams", "PsoResult", "Swarm", "init_swarm", "run_pso",
+    "PsoParams", "PsoResult", "Swarm", "init_swarm", "run_pso",
     "InvalidBandwidthRange", "InvalidNodeCount", "Network", "RegionLayout",
     "assign_bandwidths", "build_network", "generate_topology", "partition_regions",
     "perturb_bandwidths",

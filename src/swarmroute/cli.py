@@ -4,8 +4,9 @@ Subcommands: `generate` (emit a network as JSON), `run-pso` / `run-ga`
 (single optimization runs, JSON result), `compare` (full budget-grid
 experiment, CSV or JSON), `oracle` (brute-force best path on small
 networks). Exit codes: 0 success, 2 invalid configuration (including an
-unwritable --out path), 3 no path found. Input rules live with the modules
-that own the values; the CLI only parses and maps errors to exit codes.
+unwritable --out path and sizes too large to hold in memory), 3 no path
+found. Input rules live with the modules that own the values; the CLI only
+parses and maps errors to exit codes.
 """
 
 import argparse
@@ -232,6 +233,9 @@ def main(argv=None) -> int:
         return EXIT_NO_PATH
     except ValueError as exc:  # covers InvalidConfig, bad ranges, bad params
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
+    except MemoryError:  # sizes that parse but cannot be held, e.g. --nodes 200000
+        print("error: not enough memory for the requested sizes", file=sys.stderr)
         return EXIT_INVALID_CONFIG
 
 

@@ -3,7 +3,7 @@
 A priority vector assigns one real, finite value per node. Decoding starts
 at the source and repeatedly appends the highest-priority node that may
 follow the path's terminal and is not on the path yet, ties going to the
-lower id. Which nodes may follow which is one boolean move table per
+lower id. Which nodes may follow which is one move table per
 (network, source, destination, window), built once and cached on the
 network: a link, and a sliding id window that keeps the walk from going
 backwards through the id space, except that the destination may always
@@ -12,8 +12,14 @@ over total path bandwidth.
 
 `decode` walks one vector in Python over the table's rows. `evaluate`
 decodes and scores a whole population at once: one loop over hops, each
-hop picking the masked argmax of every still-running row. `draw_population`
-draws a decodable initial population in blocks through the same loop.
+hop a `take` of the terminals' penalty rows, an add, an `argmax` and a
+scatter of -inf over the nodes taken. The table's sink node catches every
+walk that arrived or dead-ended, so no row needs a test of its own. The
+link bandwidths are gathered once after the loop and added left to right.
+`evaluate` returns fitnesses, routes and a reached mask, not `Path`s;
+`route_path` builds the `Path` of a route that turns out to be a best.
+`draw_population` draws a decodable initial population in blocks through
+the same loop.
 """
 
 from dataclasses import dataclass
@@ -95,7 +101,7 @@ class DecodeParams:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+            raise InvalidConfig(f"window must be >= 1, got {self.window}")
 
     @classmethod
     def for_network(cls, network) -> "DecodeParams":
@@ -117,8 +123,12 @@ class MoveTable:
     """Which nodes may follow which on a walk from one source to one destination.
 
     successors[t] lists, in ascending id order, the nodes c that may follow
-    terminal t; penalty[t, c] is 0.0 for those and -inf elsewhere, so that
-    adding it to priorities leaves the allowed ones exact and sinks the rest.
+    terminal t. penalty is (n + 1) x (n + 1): node v is index v + 1, and
+    index 0 is a sink. penalty[t + 1, c + 1] is 0.0 where c may follow t and
+    -inf elsewhere, so that adding it to priorities leaves the allowed ones
+    exact and sinks the rest; the sink's row and column are all -inf. A row
+    of candidates that is all -inf (the walk arrived or dead-ended) has its
+    first maximum at index 0, so the walk moves into the sink and stays.
     """
 
     successors: tuple[tuple[int, ...], ...]
@@ -140,13 +150,15 @@ def move_table(network, source, destination, window) -> MoveTable:
     cache = network.move_tables
     table = cache.get(key)
     if table is None:
-        ids = np.arange(network.n_nodes)
+        n = network.n_nodes
+        ids = np.arange(n)
         ahead = ids[None, :] - ids[:, None]  # c - t
         in_window = ahead > -window if source < destination else ahead < window
         in_window[:, destination] = True
         in_window[destination] = False
         allowed = (network.bandwidths > 0) & in_window
-        penalty = np.where(allowed, 0.0, -np.inf)
+        penalty = np.full((n + 1, n + 1), -np.inf)
+        penalty[1:, 1:][allowed] = 0.0
         penalty.flags.writeable = False
         table = MoveTable(tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed), penalty)
         cache.clear()
@@ -238,76 +250,85 @@ def path_fitness(network, path: Path) -> float:
 
 def evaluate(network, vectors, source, destination, dparams: DecodeParams):
     """Decode and score every row of the P x n priority matrix `vectors`;
-    returns (fitnesses, paths), both lists in row order.
+    returns (fitnesses, routes, reached).
 
-    A row that dead-ends scores 0.0 with path None. Same paths as `decode`
-    row by row; each fitness adds the path's link bandwidths left to right
-    as `path_fitness` does, so it is the same float.
+    routes[i] is row i's walk: the source, then each node appended, padded
+    with -1 (see `route_path`); reached[i] is whether the walk ended at the
+    destination. A row that dead-ends scores 0.0 and its walk is the partial
+    path `decode` reports. Same paths as `decode` row by row; each fitness
+    adds the path's link bandwidths left to right as `path_fitness` does,
+    so it is the same float.
     """
     n = network.n_nodes
     source, destination = int(source), int(destination)
     check_endpoints(n, source, destination)
     pri = _priority_array(vectors, (len(vectors), n))
     penalty = move_table(network, source, destination, dparams.window).penalty
-    bandwidths = network.bandwidths
 
+    # Node v is column v + 1 and column 0 is the sink (see MoveTable).
     rows = len(pri)
-    index = np.arange(rows)
-    scores = pri.copy()  # a row's priorities, -inf once the node is on its path
-    scores[:, source] = -np.inf
-    terminal = np.full(rows, source)
-    total = np.zeros(rows)
+    scores = np.empty((rows, n + 1))  # a row's priorities, -inf once the node is on its path
+    scores[:, 0] = -np.inf
+    scores[:, 1:] = pri
+    scores[:, source + 1] = -np.inf
+    flat, row_starts = scores.reshape(-1), np.arange(0, scores.size, n + 1)
     route = np.zeros((rows, n), dtype=np.intp)  # column h: the node appended at hop h
-    for hop in range(n - 1):
-        candidates = penalty.take(terminal, axis=0) + scores
-        nxt = candidates.argmax(1)  # first index: the lower id on ties
-        moved = np.isfinite(candidates[index, nxt])  # False: arrived or dead-ended
-        if not moved.any():
+    route[:, 0] = terminal = source + 1
+    width = n  # columns some walk filled; at least two, so that every row has a first link
+    for hop in range(1, n):
+        terminal = (penalty.take(terminal, axis=0) + scores).argmax(1)  # first: lower id on ties
+        if not np.count_nonzero(terminal):  # every walk is in the sink
+            width = max(hop, 2)
             break
-        np.add(total, bandwidths[terminal, nxt], out=total, where=moved)
-        scores[index, nxt] = -np.inf
-        terminal = np.where(moved, nxt, terminal)
-        route[:, hop] = nxt
+        flat[row_starts + terminal] = -np.inf
+        route[:, hop] = terminal
 
-    reached = terminal == destination
-    hops = (route == destination).argmax(1) + 1
+    route -= 1  # back to node ids; the sink becomes the -1 padding
+    walk = route[:, :width]
+    ends = walk[:, 1:]
+    links = np.where(ends >= 0, network.bandwidths[walk[:, :-1], ends], 0.0)
+    totals = np.cumsum(links, axis=1)[:, -1]  # left to right: accumulate is sequential
+    reached = (ends == destination).any(1)
     fits = np.zeros(rows)
-    np.divide(bandwidths[source, route[:, 0]], total, out=fits, where=reached)
-    return fits.tolist(), [Path((source, *nodes[:length])) if ok else None
-                           for nodes, length, ok in zip(route.tolist(), hops.tolist(),
-                                                        reached.tolist())]
+    np.divide(links[:, 0], totals, out=fits, where=reached)
+    return fits, route, reached
+
+
+def route_path(route) -> Path:
+    """The Path of one `evaluate` route: its nodes before the -1 padding."""
+    nodes = route.tolist()
+    return Path(tuple(nodes[:nodes.index(-1)] if -1 in nodes else nodes))
 
 
 def draw_population(network, size, source, destination, dparams: DecodeParams, rng):
-    """`size` decodable priority vectors drawn from `rng`, with their
-    fitnesses and paths: (vectors, fitnesses, paths).
+    """`size` decodable priority vectors drawn from `rng`, as a size x n
+    matrix, with their fitnesses and `evaluate` routes: (vectors,
+    fitnesses, routes).
 
     Vectors are drawn in blocks of rows, which take the same values from
     `rng` as one draw per vector, and each block is decoded in one
     `evaluate`; decodable rows go to the members in order. Raises
     NoPathFound once one member has seen MAX_DRAWS dead ends in a row.
     """
-    vectors, fits, paths = [], [], []
-    misses = 0
-    while len(vectors) < size:
+    parts = []
+    found = misses = 0
+    while found < size:
         # twice the members still missing, so that one block mostly suffices
-        block = rng.random((2 * (size - len(vectors)), network.n_nodes))
-        for vec, fit, path in zip(block, *evaluate(network, block, source, destination,
-                                                   dparams)):
-            if path is None:
+        block = rng.random((2 * (size - found), network.n_nodes))
+        fits, routes, reached = evaluate(network, block, source, destination, dparams)
+        rows = []
+        for row, ok in enumerate(reached.tolist()):
+            if not ok:
                 misses += 1
                 if misses == MAX_DRAWS:
                     raise NoPathFound(source, destination, attempts=MAX_DRAWS)
                 continue
             misses = 0
-            vectors.append(vec)
-            fits.append(fit)
-            paths.append(path)
-            if len(vectors) == size:
+            rows.append(row)
+            found += 1
+            if found == size:
                 break
-    return vectors, fits, paths
-
-
-def first_max(values) -> int:
-    """Index of the largest value; ties go to the earliest index."""
-    return max(range(len(values)), key=values.__getitem__)
+        parts.append((block[rows], fits[rows], routes[rows]))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))

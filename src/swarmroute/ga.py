@@ -5,6 +5,10 @@ and scored by the same evaluator in `encoding`, so both optimizers compare
 on equal footing. Selection is roulette-wheel over fitness; crossover is one-
 or two-point tail/segment exchange at 1-indexed cut positions; mutation
 swaps two gene positions (arbitrary or adjacent).
+
+The population is a P x n matrix. `_exchange` (crossover) and `_swap_genes`
+(mutation) are the operators' one definition: the public single-pair
+operators call them, and so does `run_ga` on the rows of a generation.
 """
 
 import time
@@ -12,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import DecodeParams, Path, draw_population, evaluate, first_max
+from .encoding import DecodeParams, Path, draw_population, evaluate, route_path
+from .errors import InvalidConfig
 from .rng import GA_INIT, GA_OPS, GA_SELECT, make_rng
 from .topology import Network
 
@@ -29,12 +34,34 @@ class InvalidIndex(ValueError):
     """Mutation position outside the chromosome."""
 
 
+def _exchange(first, second, lo, hi):
+    """Swap the genes at columns lo[r] <= c < hi[r] between row r of `first`
+    and row r of `second`, in place: the crossover of every operator."""
+    cols = np.arange(first.shape[1])
+    segment = (lo[:, None] <= cols) & (cols < hi[:, None])
+    kept = first.copy()
+    np.copyto(first, second, where=segment)
+    np.copyto(second, kept, where=segment)
+
+
+def _swap_genes(chromosome, i, j):
+    """Swap the genes at 0-indexed positions i and j, in place: the mutation
+    of every operator."""
+    chromosome[i], chromosome[j] = chromosome[j], chromosome[i]
+
+
 def _parent_pair(p1, p2):
+    """The parents as the two rows of one matrix: the children, once crossed."""
     a1 = np.asarray(p1)
     a2 = np.asarray(p2)
     if a1.ndim != 1 or a2.ndim != 1 or a1.size != a2.size:
         raise LengthMismatch(f"parent lengths differ: {a1.shape} vs {a2.shape}")
-    return a1, a2
+    return np.stack([a1, a2])
+
+
+def _cross(pair, lo, hi):
+    _exchange(pair[:1], pair[1:], np.array([lo]), np.array([hi]))
+    return pair[0], pair[1]
 
 
 def crossover_one_point(p1, p2, k, single_gene_exchange=False):
@@ -44,44 +71,31 @@ def crossover_one_point(p1, p2, k, single_gene_exchange=False):
     With single_gene_exchange only the gene at position k crosses over and
     all other positions stay with their own parent.
     """
-    a1, a2 = _parent_pair(p1, p2)
-    n = a1.size
+    pair = _parent_pair(p1, p2)
+    n = pair.shape[1]
     if not 1 <= k <= n:
         raise InvalidCutPoints(f"cut {k} outside 1..{n}")
-    if single_gene_exchange:
-        c1, c2 = a1.copy(), a2.copy()
-        c1[k - 1] = a2[k - 1]
-        c2[k - 1] = a1[k - 1]
-        return c1, c2
-    c1 = np.concatenate([a1[:k - 1], a2[k - 1:]])
-    c2 = np.concatenate([a2[:k - 1], a1[k - 1:]])
-    return c1, c2
+    return _cross(pair, k - 1, k if single_gene_exchange else n)
 
 
 def crossover_two_point(p1, p2, j, k):
     """Children exchange the inclusive 1-indexed gene segment [j..k]."""
-    a1, a2 = _parent_pair(p1, p2)
-    n = a1.size
+    pair = _parent_pair(p1, p2)
+    n = pair.shape[1]
     if not (1 <= j <= n and 1 <= k <= n):
         raise InvalidCutPoints(f"cuts ({j}, {k}) outside 1..{n}")
     if j > k:
         raise InvalidCutPoints(f"cut j={j} exceeds k={k}")
-    c1 = a1.copy()
-    c2 = a2.copy()
-    c1[j - 1:k] = a2[j - 1:k]
-    c2[j - 1:k] = a1[j - 1:k]
-    return c1, c2
+    return _cross(pair, j - 1, k)
 
 
 def mutate_swap(c, i, j):
     """Exchange the genes at 1-indexed positions i < j."""
-    arr = np.asarray(c)
-    n = arr.size
+    out = np.array(c)
+    n = out.size
     if not 1 <= i < j <= n:
         raise InvalidIndex(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    out = arr.copy()
-    out[i - 1] = arr[j - 1]
-    out[j - 1] = arr[i - 1]
+    _swap_genes(out, i - 1, j - 1)
     return out
 
 
@@ -106,19 +120,21 @@ class GaParams:
 
     def __post_init__(self):
         if self.pop_size < 2:
-            raise ValueError(f"population must hold at least 2 chromosomes, got {self.pop_size}")
+            raise InvalidConfig(
+                f"population must hold at least 2 chromosomes, got {self.pop_size}")
         if self.kmax < 0:
-            raise ValueError(f"generation bound must be >= 0, got {self.kmax}")
+            raise InvalidConfig(f"generation bound must be >= 0, got {self.kmax}")
         if self.crossover_kind not in ("one_point", "two_point"):
-            raise ValueError(f"unknown crossover kind {self.crossover_kind!r}")
+            raise InvalidConfig(f"unknown crossover kind {self.crossover_kind!r}")
         if self.mutation_kind not in ("swap", "adjacent_swap"):
-            raise ValueError(f"unknown mutation kind {self.mutation_kind!r}")
+            raise InvalidConfig(f"unknown mutation kind {self.mutation_kind!r}")
         if not (0.0 <= self.crossover_prob <= 1.0 and 0.0 <= self.mutation_prob <= 1.0):
-            raise ValueError("operator probabilities must lie in [0, 1]")
+            raise InvalidConfig("operator probabilities must lie in [0, 1]")
 
 
-def _roulette_pairs(gen, fitnesses, n_pairs):
-    """Index pairs drawn fitness-proportionally with replacement.
+def _roulette(gen, fitnesses, n_pairs):
+    """2 * n_pairs parent indices drawn fitness-proportionally with
+    replacement; entries 2p and 2p + 1 are pair p.
 
     All-zero fitness falls back to uniform selection.
     """
@@ -131,20 +147,8 @@ def _roulette_pairs(gen, fitnesses, n_pairs):
     if total > 0:
         cum = np.cumsum(fits / total)
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, gen.random(2 * n_pairs), side="right")
-    else:
-        idx = gen.integers(0, fits.size, size=2 * n_pairs)
-    idx = [int(i) for i in idx]
-    return list(zip(idx[0::2], idx[1::2]))
-
-
-def _maybe_mutate(child, gen, params, n):
-    if gen.random() >= params.mutation_prob:
-        return child
-    if params.mutation_kind == "swap":
-        i, j = sorted(int(x) + 1 for x in gen.choice(n, size=2, replace=False))
-        return mutate_swap(child, i, j)
-    return mutate_adjacent_swap(child, int(gen.integers(1, n)))
+        return np.searchsorted(cum, gen.random(2 * n_pairs), side="right")
+    return gen.integers(0, fits.size, size=2 * n_pairs)
 
 
 @dataclass
@@ -175,48 +179,62 @@ def run_ga(network: Network, source, destination, params: GaParams, seed) -> GaR
     0 for their generation. With elitism the best current chromosome is
     copied unchanged into the next generation. The trace holds the best
     population fitness per generation, starting at generation 0.
+
+    The population is one pop_size x n matrix. Each generation draws its
+    operator decisions pair by pair, child by child, then applies every
+    crossover and every mutation to the gathered parent rows at once.
     """
     t0 = time.perf_counter()
     source, destination = int(source), int(destination)
     dparams = DecodeParams.for_network(network)
-    population, fits, paths = draw_population(network, params.pop_size, source, destination,
-                                              dparams, make_rng(seed, GA_INIT))
+    population, fits, routes = draw_population(network, params.pop_size, source, destination,
+                                               dparams, make_rng(seed, GA_INIT))
 
-    best = first_max(fits)
-    best_fitness, best_path = fits[best], paths[best]
-    trace = [(0, fits[best])]
+    best = int(fits.argmax())  # the first on ties
+    best_fitness, best_path = float(fits[best]), route_path(routes[best])
+    trace = [(0, best_fitness)]
     n = network.n_nodes
+    one_point = params.crossover_kind == "one_point"
+    swap = params.mutation_kind == "swap"
+    offset = 1 if params.elitism else 0  # the elite is row 0
+    n_pairs = (params.pop_size - offset + 1) // 2
 
     for k in range(1, params.kmax + 1):
         sel_gen = make_rng(seed, GA_SELECT, k)
         op_gen = make_rng(seed, GA_OPS, k)
-        n_children = params.pop_size - (1 if params.elitism else 0)
-        pairs = _roulette_pairs(sel_gen, fits, (n_children + 1) // 2)
+        parents = _roulette(sel_gen, fits, n_pairs)
 
-        children = []
-        for i, j in pairs:
-            pa, pb = population[i], population[j]
+        lo, hi = [0] * n_pairs, [0] * n_pairs  # 0-indexed columns lo..hi-1 cross over
+        mutations = []  # (row, i, j): swap genes i and j of the row
+        for pair in range(n_pairs):
             if op_gen.random() < params.crossover_prob:
-                if params.crossover_kind == "one_point":
-                    cut = int(op_gen.integers(1, n + 1))
-                    ca, cb = crossover_one_point(pa, pb, cut)
+                if one_point:
+                    lo[pair], hi[pair] = int(op_gen.integers(1, n + 1)) - 1, n
                 else:
-                    lo, hi = sorted(int(x) for x in op_gen.integers(1, n + 1, size=2))
-                    ca, cb = crossover_two_point(pa, pb, lo, hi)
-            else:
-                ca, cb = pa.copy(), pb.copy()
-            children.append(_maybe_mutate(ca, op_gen, params, n))
-            children.append(_maybe_mutate(cb, op_gen, params, n))
-        children = children[:n_children]
+                    a, b = sorted(op_gen.integers(1, n + 1, size=2).tolist())
+                    lo[pair], hi[pair] = a - 1, b
+            for row in (offset + 2 * pair, offset + 2 * pair + 1):
+                if op_gen.random() < params.mutation_prob:
+                    if swap:
+                        i, j = sorted(op_gen.choice(n, size=2, replace=False).tolist())
+                    else:
+                        i = int(op_gen.integers(1, n)) - 1
+                        j = i + 1
+                    mutations.append((row, i, j))
 
-        elite = [population[first_max(fits)].copy()] if params.elitism else []
-        population = elite + children
-        fits, paths = evaluate(network, population, source, destination, dparams)
+        if params.elitism:
+            parents = np.concatenate(([fits.argmax()], parents))
+        nxt = population[parents]
+        _exchange(nxt[offset::2], nxt[offset + 1::2], np.array(lo), np.array(hi))
+        for row, i, j in mutations:
+            _swap_genes(nxt[row], i, j)
+        population = nxt[:params.pop_size]
+        fits, routes, _ = evaluate(network, population, source, destination, dparams)
 
-        gen_best = first_max(fits)
-        trace.append((k, fits[gen_best]))
+        gen_best = int(fits.argmax())
+        trace.append((k, float(fits[gen_best])))
         if fits[gen_best] > best_fitness:
-            best_fitness, best_path = fits[gen_best], paths[gen_best]
+            best_fitness, best_path = float(fits[gen_best]), route_path(routes[gen_best])
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return GaResult(path=best_path, fitness=best_fitness, hops=best_path.hop_count,

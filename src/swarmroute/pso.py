@@ -6,15 +6,20 @@ first-link bandwidth divided by the total bandwidth along the path (higher
 is better, 1.0 for a direct link). Personal and global bests track the best
 decoded paths seen so far; velocities follow the standard inertia +
 cognitive + social update with componentwise clamping.
+
+The swarm is a set of P x n matrices (positions, velocities, personal-best
+positions and routes) plus a vector of personal-best fitnesses, and a step
+updates them all at once; only a new global best becomes a `Path`.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import (DecodeParams, Path, draw_population, evaluate, first_max,
-                       path_fitness)
+from .encoding import DecodeParams, Path, draw_population, evaluate, path_fitness, route_path
+from .errors import InvalidConfig
 from .rng import PSO_INIT, PSO_STEP, make_rng
 from .topology import Network, check_bandwidth_mode, perturb_bandwidths
 
@@ -31,26 +36,28 @@ class PsoParams:
 
     def __post_init__(self):
         if self.n_particles < 2:
-            raise ValueError(f"need at least 2 particles, got {self.n_particles}")
+            raise InvalidConfig(f"need at least 2 particles, got {self.n_particles}")
         if self.iterations < 1:
-            raise ValueError(f"need at least 1 iteration, got {self.iterations}")
+            raise InvalidConfig(f"need at least 1 iteration, got {self.iterations}")
+        for name in ("inertia", "cognitive", "social", "v_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_max <= 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+            raise InvalidConfig(f"v_max must be positive, got {self.v_max}")
         check_bandwidth_mode(self.bandwidth_mode)
 
 
 @dataclass(eq=False)
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-    pbest_path: Path
-
-
-@dataclass(eq=False)
 class Swarm:
-    particles: list[Particle]
+    """Row i of every matrix is particle i: P x n positions, velocities and
+    personal-best positions, the P personal-best fitnesses, and the P x n
+    personal-best routes (`evaluate` routes, -1 padded)."""
+
+    positions: np.ndarray
+    velocities: np.ndarray
+    pbest_positions: np.ndarray
+    pbest_fitness: np.ndarray
+    pbest_routes: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
     gbest_path: Path
@@ -65,20 +72,19 @@ def init_swarm(network: Network, source, destination, params: PsoParams, seed) -
     """Swarm of particles with random decodable priorities.
 
     Velocities start at zero, each personal best at the initial position,
-    and the global best at the best initial personal best. Deterministic
-    per seed; raises NoPathFound if a particle exhausts its retry budget.
+    and the global best at the best initial personal best (the first on
+    ties). Deterministic per seed; raises NoPathFound if a particle exhausts
+    its retry budget.
     """
     dparams = DecodeParams.for_network(network)
-    positions, fits, paths = draw_population(network, params.n_particles, source, destination,
-                                             dparams, make_rng(seed, PSO_INIT))
-    particles = [Particle(position=pos, velocity=np.zeros_like(pos), pbest_position=pos.copy(),
-                          pbest_fitness=fit, pbest_path=path)
-                 for pos, fit, path in zip(positions, fits, paths)]
-    leader = particles[first_max(fits)]
-    return Swarm(particles=particles, gbest_position=leader.pbest_position.copy(),
-                 gbest_fitness=leader.pbest_fitness, gbest_path=leader.pbest_path,
-                 params=params, iteration=0, source=int(source), destination=int(destination),
-                 decode_params=dparams)
+    positions, fits, routes = draw_population(network, params.n_particles, source, destination,
+                                              dparams, make_rng(seed, PSO_INIT))
+    leader = int(fits.argmax())
+    return Swarm(positions=positions, velocities=np.zeros_like(positions),
+                 pbest_positions=positions.copy(), pbest_fitness=fits, pbest_routes=routes,
+                 gbest_position=positions[leader].copy(), gbest_fitness=float(fits[leader]),
+                 gbest_path=route_path(routes[leader]), params=params, iteration=0,
+                 source=int(source), destination=int(destination), decode_params=dparams)
 
 
 def step(swarm: Swarm, network: Network, seed) -> Swarm:
@@ -94,45 +100,32 @@ def step(swarm: Swarm, network: Network, seed) -> Swarm:
     iteration = swarm.iteration + 1
     net = perturb_bandwidths(network, seed, iteration, mode=params.bandwidth_mode)
 
-    positions = np.stack([p.position for p in swarm.particles])
-    fits, paths = evaluate(net, positions, swarm.source, swarm.destination, swarm.decode_params)
-    pbest_pos, pbest_fit, pbest_path = [], [], []
-    for p, fit, path in zip(swarm.particles, fits, paths):
-        if path is not None and fit > p.pbest_fitness:
-            pbest_pos.append(p.position.copy())
-            pbest_fit.append(fit)
-            pbest_path.append(path)
-        else:
-            pbest_pos.append(p.pbest_position)
-            pbest_fit.append(p.pbest_fitness)
-            pbest_path.append(p.pbest_path)
+    positions = swarm.positions
+    fits, routes, reached = evaluate(net, positions, swarm.source, swarm.destination,
+                                     swarm.decode_params)
+    improved = reached & (fits > swarm.pbest_fitness)
+    pbests = np.where(improved[:, None], positions, swarm.pbest_positions)
+    pbest_fit = np.where(improved, fits, swarm.pbest_fitness)
+    pbest_routes = np.where(improved[:, None], routes, swarm.pbest_routes)
 
     gbest_pos, gbest_fit, gbest_path = swarm.gbest_position, swarm.gbest_fitness, swarm.gbest_path
-    best = first_max(pbest_fit)
+    best = int(pbest_fit.argmax())  # the first on ties
     if pbest_fit[best] > gbest_fit:
-        gbest_pos, gbest_fit, gbest_path = pbest_pos[best], pbest_fit[best], pbest_path[best]
+        gbest_pos, gbest_fit = pbests[best], float(pbest_fit[best])
+        gbest_path = route_path(pbest_routes[best])
 
-    velocities = np.stack([p.velocity for p in swarm.particles])
-    pbests = np.stack(pbest_pos)
     gen = make_rng(seed, PSO_STEP, iteration)
     r1 = gen.random(positions.shape)
     r2 = gen.random(positions.shape)
-    velocities = (params.inertia * velocities
+    velocities = (params.inertia * swarm.velocities
                   + params.cognitive * r1 * (pbests - positions)
                   + params.social * r2 * (gbest_pos - positions))
     velocities = np.clip(velocities, -params.v_max, params.v_max)
-    positions = positions + velocities
-
-    particles = [
-        Particle(position=positions[i], velocity=velocities[i],
-                 pbest_position=pbest_pos[i], pbest_fitness=pbest_fit[i],
-                 pbest_path=pbest_path[i])
-        for i in range(len(swarm.particles))
-    ]
-    return Swarm(particles=particles, gbest_position=gbest_pos, gbest_fitness=gbest_fit,
-                 gbest_path=gbest_path, params=params, iteration=iteration,
-                 source=swarm.source, destination=swarm.destination,
-                 decode_params=swarm.decode_params)
+    return Swarm(positions=positions + velocities, velocities=velocities,
+                 pbest_positions=pbests, pbest_fitness=pbest_fit, pbest_routes=pbest_routes,
+                 gbest_position=gbest_pos, gbest_fitness=gbest_fit, gbest_path=gbest_path,
+                 params=params, iteration=iteration, source=swarm.source,
+                 destination=swarm.destination, decode_params=swarm.decode_params)
 
 
 @dataclass

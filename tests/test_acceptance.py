@@ -108,8 +108,7 @@ def test_c5_pso_invariants():
             swarm = step(swarm, net, seed=inst)
             assert swarm.gbest_fitness >= last, f"gbest regressed on instance {inst}"
             last = swarm.gbest_fitness
-            for p in swarm.particles:
-                assert np.all(np.abs(p.velocity) <= params.v_max)
+            assert np.all(np.abs(swarm.velocities) <= params.v_max)
     print("\nACCEPTANCE 5 (PSO invariants, 50 instances x 100 iterations): PASS")
 
 

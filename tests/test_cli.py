@@ -166,6 +166,23 @@ def test_unusable_bandwidth_range_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("_parse_budgets", ("compare", "--budgets", "1-10000000000")),
+    ("build_network", ("generate", "--nodes", "200000")),
+], ids=["huge-budget-range", "huge-network"])
+def test_out_of_memory_exit_2(capsys, monkeypatch, target, argv):
+    # the patched function fails as the real one would on these sizes, before
+    # anything is allocated
+    monkeypatch.setattr(f"swarmroute.cli.{target}", _out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: not enough memory for the requested sizes\n"
+
+
 # ---- argv fuzzing: every input either works or exits 2/3 with a message ----
 
 ODD_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1.7e308", "-1e308", "5e-324", "abc"]

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmroute import (DeadEnd, DecodeParams, Network, NoPathFound, Path, build_network,
-                        decode, perturb_bandwidths, random_priorities)
+from swarmroute import (DeadEnd, DecodeParams, InvalidConfig, Network, NoPathFound, Path,
+                        build_network, decode, perturb_bandwidths, random_priorities)
 from swarmroute.encoding import (MAX_DRAWS, draw_population, draw_valid_priorities, evaluate,
-                                 move_table)
+                                 move_table, route_path)
 from swarmroute.rng import make_rng
 
 from conftest import (assert_valid_path, reference_decode, reference_draw_population,
@@ -21,8 +21,16 @@ COMPLETE_64 = complete_network(64)
 
 
 def allowed_moves(net, source, destination, window):
-    """allowed[t, c]: whether c may follow terminal t, read off the move table."""
-    return move_table(net, source, destination, window).penalty == 0
+    """allowed[t, c]: whether c may follow terminal t, read off the move
+    table's penalty (whose index 0 is the sink, node v index v + 1)."""
+    return move_table(net, source, destination, window).penalty[1:, 1:] == 0
+
+
+def evaluate_paths(net, vectors, source, destination, dparams):
+    """`evaluate` in the reference's form: fitness list and Path-or-None list."""
+    fits, routes, reached = evaluate(net, vectors, source, destination, dparams)
+    return fits.tolist(), [route_path(route) if ok else None
+                           for route, ok in zip(routes, reached.tolist())]
 
 
 class TestHeuristicAllows:
@@ -93,10 +101,17 @@ class TestEligibleNeighbors:
 class TestMoveTable:
     def test_successors_match_allowed_rows(self, small_net):
         table = move_table(small_net, 11, 0, 4)
-        allowed = table.penalty == 0
+        allowed = allowed_moves(small_net, 11, 0, 4)
         assert table.successors == tuple(tuple(np.flatnonzero(row)) for row in allowed)
         assert not (allowed & (small_net.bandwidths == 0)).any()
         assert set(np.unique(table.penalty)) == {0.0, -np.inf}
+
+    def test_sink_row_and_column_are_closed(self, small_net):
+        # nothing leads into the sink and nothing leaves it: a walk enters it
+        # only when all of its real candidates are -inf, through argmax's first index
+        penalty = move_table(small_net, 0, 11, 4).penalty
+        assert penalty.shape == (13, 13)
+        assert np.all(penalty[0] == -np.inf) and np.all(penalty[:, 0] == -np.inf)
 
     def test_cached_and_shared_by_resampled_networks(self, small_net):
         table = move_table(small_net, 0, 11, 4)
@@ -254,7 +269,7 @@ class TestDecodeParams:
         assert DecodeParams.for_network(small_net).window == 4  # 12 nodes, 3 regions
 
     def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             DecodeParams(window=0)
 
 
@@ -274,7 +289,7 @@ class TestNonFinitePriorities:
         # it used to mark node 1 as already on the path and strand the walk at 0
         pri = [0.5, -999.0, 0.5, 0.5]
         assert decode(line_net, pri, 0, 3).nodes == (0, 1, 2, 3)
-        fits, paths = evaluate(line_net, [pri], 0, 3, DecodeParams(window=2))
+        fits, paths = evaluate_paths(line_net, [pri], 0, 3, DecodeParams(window=2))
         assert paths[0].nodes == (0, 1, 2, 3)
         assert fits == [1 / 3]
 
@@ -306,17 +321,20 @@ class TestBatchedDecoder:
     def test_matches_reference(self, case):
         net, source, destination, matrix = case
         dparams = DecodeParams.for_network(net)
-        fits, paths = evaluate(net, matrix, source, destination, dparams)
+        fits, paths = evaluate_paths(net, matrix, source, destination, dparams)
         ref_fits, ref_paths = reference_evaluate(net, matrix, source, destination, dparams)
         assert paths == ref_paths
         assert [f.hex() for f in fits] == [f.hex() for f in ref_fits]  # bit-identical
-        for vec, ref_path in zip(matrix, ref_paths):
+        _, routes, _ = evaluate(net, matrix, source, destination, dparams)
+        for vec, route, ref_path in zip(matrix, routes, ref_paths):
             if ref_path is None:
                 with pytest.raises(DeadEnd) as exc:
                     decode(net, vec, source, destination, dparams)
                 with pytest.raises(DeadEnd) as ref_exc:
                     reference_decode(net, vec, source, destination, dparams)
                 assert exc.value.partial_path == ref_exc.value.partial_path
+                # a dead-ended row's route is that partial path
+                assert route_path(route).nodes == ref_exc.value.partial_path
             else:
                 assert decode(net, vec, source, destination, dparams) == ref_path
 
@@ -326,17 +344,49 @@ class TestBatchedDecoder:
             net = build_network(21, seed=seed)
             matrix = make_rng(seed, 99).random((40, 21))
             dparams = DecodeParams.for_network(net)
-            fits, paths = evaluate(net, matrix, 0, 20, dparams)
+            fits, paths = evaluate_paths(net, matrix, 0, 20, dparams)
             assert (fits, paths) == reference_evaluate(net, matrix, 0, 20, dparams)
             decoded += sum(path is not None for path in paths)
         assert decoded > 1000  # mostly real paths, some dead ends
 
     def test_dead_end_scores_zero(self):
         net = Network.from_links(4, [(0, 1), (1, 2), (0, 3)])
-        fits, paths = evaluate(net, [[0.5, 0.9, 0.5, 0.1], [0.5, 0.1, 0.5, 0.9]], 0, 3,
-                               DecodeParams(window=2))
+        fits, paths = evaluate_paths(net, [[0.5, 0.9, 0.5, 0.1], [0.5, 0.1, 0.5, 0.9]], 0, 3,
+                                     DecodeParams(window=2))
         assert fits == [0.0, 1.0]
         assert paths == [None, Path((0, 3))]
+
+    def test_walk_through_every_node(self):
+        # on a line the walk takes all n - 1 hops, the last in the loop's last pass;
+        # the bandwidths round away unless they are added left to right
+        for n, bws in ((4, [3.0, 1.0, 2.0]), (12, [1.0, 2.0 ** 53] + [1.0] * 9),
+                       (33, [1e-300, 1.0, 2.0 ** 53, 1e300] * 8)):
+            net = Network.from_links(n, [(u, u + 1, bw) for u, bw in enumerate(bws)])
+            dparams = DecodeParams(window=n)
+            matrix = make_rng(n).random((5, n))
+            for source, destination in ((0, n - 1), (n - 1, 0)):
+                fits, routes, reached = evaluate(net, matrix, source, destination, dparams)
+                step = 1 if source < destination else -1
+                assert routes.tolist() == [list(range(source, destination + step, step))] * 5
+                assert reached.all()
+                fit_list, paths = evaluate_paths(net, matrix, source, destination, dparams)
+                ref_fits, ref_paths = reference_evaluate(net, matrix, source, destination,
+                                                         dparams)
+                assert paths == ref_paths
+                assert [f.hex() for f in fit_list] == [f.hex() for f in ref_fits]
+
+    @pytest.mark.parametrize("links,source,destination,window", [
+        ([(1, 2), (2, 3)], 0, 3, 2),  # the source has no link
+        ([(3, 0), (0, 5)], 3, 5, 2),  # its one neighbour trails it by the window
+    ])
+    def test_every_row_stuck_at_the_source(self, links, source, destination, window):
+        net = Network.from_links(6, links)
+        matrix = make_rng(1).random((7, 6))
+        fits, routes, reached = evaluate(net, matrix, source, destination,
+                                         DecodeParams(window=window))
+        assert fits.tolist() == [0.0] * 7
+        assert not reached.any()
+        assert routes.tolist() == [[source] + [-1] * 5] * 7
 
     def test_input_matrix_untouched(self, small_net):
         matrix = make_rng(3).random((8, 12))
@@ -372,11 +422,11 @@ class TestDrawPopulation:
                 assert str(exc.value) == str(ref_exc)
                 outcomes.add("raised")
                 continue
-            vectors, fits, paths = draw_population(net, 40, source, destination, dparams,
-                                                   make_rng(seed))
-            assert np.stack(vectors).tobytes() == np.stack(expected[0]).tobytes()
-            assert [f.hex() for f in fits] == [f.hex() for f in expected[1]]
-            assert paths == expected[2]
+            vectors, fits, routes = draw_population(net, 40, source, destination, dparams,
+                                                    make_rng(seed))
+            assert vectors.tobytes() == np.stack(expected[0]).tobytes()
+            assert [f.hex() for f in fits.tolist()] == [f.hex() for f in expected[1]]
+            assert [route_path(route) for route in routes] == expected[2]
             outcomes.add("drawn")
         assert "drawn" in outcomes
 

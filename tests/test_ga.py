@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmroute import (GaParams, brute_force_best, build_network, crossover_one_point,
-                        crossover_two_point, mutate_adjacent_swap, mutate_swap,
-                        path_fitness, run_ga)
-from swarmroute.ga import InvalidCutPoints, InvalidIndex, LengthMismatch, _roulette_pairs
+from swarmroute import (GaParams, InvalidConfig, brute_force_best, build_network,
+                        crossover_one_point, crossover_two_point, mutate_adjacent_swap,
+                        mutate_swap, path_fitness, run_ga)
+from swarmroute.ga import InvalidCutPoints, InvalidIndex, LengthMismatch, _roulette
 from swarmroute.rng import GA_SELECT, make_rng
 
-from conftest import assert_valid_path
+from conftest import (assert_valid_path, draw_far_endpoints, draw_network, optimizer_outcome,
+                      reference_run_ga)
 
 P1 = [1, 2, 3, 4, 5, 6, 7, 8]
 P2 = [1, 1, 3, 3, 4, 5, 7, 8]
@@ -142,7 +143,8 @@ class TestOperatorProperties:
 
 def select_parents(fitnesses, seed, n_pairs):
     """Roulette-wheel parent index pairs, drawn as run_ga draws them."""
-    return _roulette_pairs(make_rng(seed, GA_SELECT), fitnesses, n_pairs)
+    idx = _roulette(make_rng(seed, GA_SELECT), fitnesses, n_pairs).tolist()
+    return list(zip(idx[0::2], idx[1::2]))
 
 
 class TestSelectParents:
@@ -245,5 +247,36 @@ class TestGaParams:
         {"mutation_kind": "scramble"}, {"crossover_prob": 1.5}, {"mutation_prob": -0.1},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             GaParams(**kwargs)
+
+
+@st.composite
+def ga_cases(draw, crossover_kind, mutation_kind, elitism):
+    """A 4-32 node network, endpoints from `draw_far_endpoints`, 2-12 chromosomes, 0-6
+    generations and operator probabilities up to 1."""
+    n = draw(st.integers(4, 32))
+    net = draw_network(draw, n)
+    source, destination = draw_far_endpoints(draw, net)
+    params = GaParams(pop_size=draw(st.integers(2, 12)), kmax=draw(st.integers(0, 6)),
+                      crossover_kind=crossover_kind, mutation_kind=mutation_kind,
+                      elitism=elitism,
+                      crossover_prob=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0])),
+                      mutation_prob=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    return net, source, destination, params, draw(st.integers(0, 1_000))
+
+
+class TestMatchesReference:
+    """The matrix-form GA against the per-chromosome loop it replaced."""
+
+    @pytest.mark.parametrize("elitism", [True, False])
+    @pytest.mark.parametrize("mutation_kind", ["swap", "adjacent_swap"])
+    @pytest.mark.parametrize("crossover_kind", ["one_point", "two_point"])
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_path_fitness_and_trace_bits(self, crossover_kind, mutation_kind, elitism,
+                                              data):
+        case = data.draw(ga_cases(crossover_kind, mutation_kind, elitism))
+        # same result, and the same population bytes at every step
+        assert optimizer_outcome(run_ga, "evaluate", *case) == \
+            optimizer_outcome(reference_run_ga, "reference_evaluate", *case)

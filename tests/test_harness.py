@@ -12,7 +12,7 @@ from swarmroute import (ExperimentConfig, GaParams, InvalidConfig, Network, NoPa
 from swarmroute import cli
 from swarmroute.harness import CSV_HEADER, trial_seed
 
-from conftest import fitness_oracle, reference_brute_force_best, to_nx
+from conftest import draw_network, fitness_oracle, reference_brute_force_best, to_nx
 
 
 def tiny_config(**overrides):
@@ -73,30 +73,12 @@ class TestBruteForceBest:
             brute_force_best(net, 0, 3)
 
 
-# Bandwidth sets for hand-built networks: tie-heavy ones, where the
-# lexicographic tie rule decides, and one whose sums lose low-order links
-# to rounding, where the order of the additions decides the fitness bits.
-ORACLE_BANDWIDTH_SETS = ((1.0,), (1.0, 2.0, 3.0), (1e-300, 1.0, 3.0, 2.0 ** 53, 1e300))
-
-
 @st.composite
 def oracle_cases(draw):
-    """A 4-10 node network, from `Network.from_links` over one bandwidth set
-    or from `build_network` at random densities, and random distinct
+    """A 4-10 node network (see `draw_network`) and random distinct
     endpoints in either id order."""
     n = draw(st.integers(4, 10))
-    if draw(st.booleans()):
-        bandwidths = draw(st.sampled_from(ORACLE_BANDWIDTH_SETS))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = draw(st.lists(st.sampled_from((None,) + bandwidths),
-                               min_size=len(pairs), max_size=len(pairs)))
-        net = Network.from_links(n, [(u, v, bw) for (u, v), bw in zip(pairs, chosen)
-                                     if bw is not None])
-    else:
-        net = build_network(n, seed=draw(st.integers(0, 10_000)),
-                            intra_density=draw(st.floats(0.0, 0.9)),
-                            inter_density=draw(st.floats(0.0, 0.4)),
-                            ensure_connected=draw(st.booleans()))
+    net = draw_network(draw, n)
     source = draw(st.integers(0, n - 1))
     destination = draw(st.integers(0, n - 1).filter(lambda d: d != source))
     return net, source, destination

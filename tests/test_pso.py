@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swarmroute import (DecodeParams, InvalidPath, Network, NoPathFound, Path, PsoParams,
-                        build_network, init_swarm, path_fitness, run_pso)
-from swarmroute.encoding import evaluate
-from swarmroute.pso import Particle, Swarm, step
+from swarmroute import (DecodeParams, InvalidConfig, InvalidPath, Network, NoPathFound, Path,
+                        PsoParams, build_network, init_swarm, path_fitness, run_pso)
+from swarmroute.encoding import evaluate, route_path
+from swarmroute.pso import Swarm, step
 from swarmroute.topology import perturb_bandwidths
 
-from conftest import assert_valid_path, fitness_oracle
+from conftest import (assert_valid_path, draw_far_endpoints, draw_network, fitness_oracle,
+                      optimizer_outcome, reference_run_pso)
 
 
 class TestPathFitness:
@@ -29,8 +32,8 @@ class TestPathFitness:
         fit = path_fitness(net, Path(tuple(range(11))))
         assert fit == 1.0 / 2.0 ** 53
         assert fit != 1.0 / math.fsum(bws)
-        fits, _ = evaluate(net, np.zeros((1, 11)), 0, 10, DecodeParams.for_network(net))
-        assert fits == [fit]
+        fits, _, _ = evaluate(net, np.zeros((1, 11)), 0, 10, DecodeParams.for_network(net))
+        assert fits.tolist() == [fit]
 
     def test_zero_link_path_rejected(self, diamond_net):
         with pytest.raises(InvalidPath):
@@ -60,30 +63,30 @@ class TestPathFitness:
 class TestInitSwarm:
     def test_two_particles_on_diamond(self, diamond_net):
         swarm = init_swarm(diamond_net, 0, 3, PsoParams(n_particles=2, iterations=1), seed=0)
-        assert len(swarm.particles) == 2
-        for p in swarm.particles:
-            assert_valid_path(diamond_net, p.pbest_path, 0, 3)
-            assert np.all(p.velocity == 0.0)
-            assert np.array_equal(p.position, p.pbest_position)
-        assert swarm.gbest_fitness == max(p.pbest_fitness for p in swarm.particles)
+        assert swarm.positions.shape == swarm.velocities.shape == (2, 4)
+        assert swarm.pbest_fitness.shape == (2,)
+        for route in swarm.pbest_routes:
+            assert_valid_path(diamond_net, route_path(route), 0, 3)
+        assert np.all(swarm.velocities == 0.0)
+        assert np.array_equal(swarm.positions, swarm.pbest_positions)
+        assert swarm.gbest_fitness == swarm.pbest_fitness.max()
 
     def test_deterministic(self, small_net):
         params = PsoParams(n_particles=8, iterations=1)
         a = init_swarm(small_net, 0, 11, params, seed=5)
         b = init_swarm(small_net, 0, 11, params, seed=5)
-        for pa, pb in zip(a.particles, b.particles):
-            assert pa.position.tobytes() == pb.position.tobytes()
-            assert pa.pbest_fitness == pb.pbest_fitness
-            assert pa.pbest_path == pb.pbest_path
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.pbest_fitness.tobytes() == b.pbest_fitness.tobytes()
+        assert np.array_equal(a.pbest_routes, b.pbest_routes)
         assert a.gbest_fitness == b.gbest_fitness
         assert a.gbest_path == b.gbest_path
 
     def test_forty_particles_all_valid(self):
         net = build_network(21, seed=17)
         swarm = init_swarm(net, 0, 20, PsoParams(n_particles=40, iterations=1), seed=3)
-        assert len(swarm.particles) == 40
-        for p in swarm.particles:
-            assert_valid_path(net, p.pbest_path, 0, 20)
+        assert swarm.positions.shape == (40, 21)
+        for route in swarm.pbest_routes:
+            assert_valid_path(net, route_path(route), 0, 20)
 
     def test_no_path_raises(self):
         net = Network.from_links(4, [(0, 1)], bandwidth_range=(1.0, 1.0))
@@ -95,28 +98,27 @@ class TestStep:
     def test_zero_coefficients_freeze_swarm(self, diamond_net):
         params = PsoParams(n_particles=4, iterations=1, inertia=0.0, cognitive=0.0, social=0.0)
         swarm = init_swarm(diamond_net, 0, 3, params, seed=2)
-        before = [p.position.copy() for p in swarm.particles]
-        fit_before = [p.pbest_fitness for p in swarm.particles]
         after = step(swarm, diamond_net, seed=2)
-        for i, p in enumerate(after.particles):
-            assert np.array_equal(p.position, before[i])
-            assert np.all(p.velocity == 0.0)
-            assert p.pbest_fitness == fit_before[i]
+        assert np.array_equal(after.positions, swarm.positions)
+        assert np.all(after.velocities == 0.0)
+        assert np.array_equal(after.pbest_fitness, swarm.pbest_fitness)
         assert after.gbest_fitness == swarm.gbest_fitness
 
     def test_lone_particle_at_its_best_does_not_move(self, diamond_net):
         params = PsoParams(n_particles=2, iterations=1, inertia=0.0,
                            cognitive=2.0, social=2.0)
         swarm = init_swarm(diamond_net, 0, 3, params, seed=4)
-        lone = Swarm(particles=[swarm.particles[0]],
-                     gbest_position=swarm.particles[0].position.copy(),
-                     gbest_fitness=swarm.particles[0].pbest_fitness,
-                     gbest_path=swarm.particles[0].pbest_path,
+        lone = Swarm(positions=swarm.positions[:1], velocities=swarm.velocities[:1],
+                     pbest_positions=swarm.pbest_positions[:1],
+                     pbest_fitness=swarm.pbest_fitness[:1], pbest_routes=swarm.pbest_routes[:1],
+                     gbest_position=swarm.positions[0].copy(),
+                     gbest_fitness=float(swarm.pbest_fitness[0]),
+                     gbest_path=route_path(swarm.pbest_routes[0]),
                      params=params, iteration=0, source=0, destination=3,
                      decode_params=swarm.decode_params)
         after = step(lone, diamond_net, seed=4)
-        assert np.all(after.particles[0].velocity == 0.0)
-        assert np.array_equal(after.particles[0].position, lone.particles[0].position)
+        assert np.all(after.velocities == 0.0)
+        assert np.array_equal(after.positions, lone.positions)
 
     def test_velocity_clamped_and_gbest_monotone(self):
         net = build_network(12, seed=1)
@@ -125,28 +127,28 @@ class TestStep:
         last = swarm.gbest_fitness
         for _ in range(30):
             swarm = step(swarm, net, seed=1)
-            for p in swarm.particles:
-                assert np.all(np.abs(p.velocity) <= 0.5 + 1e-15)
+            assert np.all(np.abs(swarm.velocities) <= 0.5 + 1e-15)
             assert swarm.gbest_fitness >= last
             last = swarm.gbest_fitness
 
     def test_pbest_never_decreases(self):
         net = build_network(12, seed=6)
         swarm = init_swarm(net, 0, 11, PsoParams(n_particles=10, iterations=1), seed=6)
-        prev = [p.pbest_fitness for p in swarm.particles]
+        prev = swarm.pbest_fitness
         for _ in range(25):
             swarm = step(swarm, net, seed=6)
-            now = [p.pbest_fitness for p in swarm.particles]
-            assert all(a >= b for a, b in zip(now, prev))
-            prev = now
+            assert np.all(swarm.pbest_fitness >= prev)
+            for route in swarm.pbest_routes:
+                assert_valid_path(net, route_path(route), 0, 11)
+            prev = swarm.pbest_fitness
 
     def test_input_swarm_untouched(self, small_net):
         swarm = init_swarm(small_net, 0, 11, PsoParams(n_particles=4, iterations=1), seed=9)
-        pos = [p.position.tobytes() for p in swarm.particles]
-        vel = [p.velocity.tobytes() for p in swarm.particles]
+        before = {name: getattr(swarm, name).tobytes()
+                  for name in ("positions", "velocities", "pbest_positions", "pbest_fitness",
+                               "pbest_routes", "gbest_position")}
         step(swarm, small_net, seed=9)
-        assert [p.position.tobytes() for p in swarm.particles] == pos
-        assert [p.velocity.tobytes() for p in swarm.particles] == vel
+        assert {name: getattr(swarm, name).tobytes() for name in before} == before
         assert swarm.iteration == 0
 
 
@@ -211,5 +213,37 @@ class TestPsoParams:
         {"n_particles": 1}, {"iterations": 0}, {"v_max": 0.0}, {"bandwidth_mode": "chaos"},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PsoParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["inertia", "cognitive", "social", "v_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        # accepted once, these let a run die mid-way on non-finite priorities
+        with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+            PsoParams(**{name: value})
+
+
+@st.composite
+def pso_cases(draw, mode):
+    """A 4-32 node network (dynamic mode resamples, so only `build_network`
+    ones there), endpoints from `draw_far_endpoints`, 2-12 particles and 1-6 iterations."""
+    n = draw(st.integers(4, 32))
+    net = draw_network(draw, n, hand_built=False if mode == "dynamic" else None)
+    source, destination = draw_far_endpoints(draw, net)
+    params = PsoParams(n_particles=draw(st.integers(2, 12)), iterations=draw(st.integers(1, 6)),
+                       v_max=draw(st.sampled_from([0.1, 1.0, 4.0])), bandwidth_mode=mode)
+    return net, source, destination, params, draw(st.integers(0, 1_000))
+
+
+class TestMatchesReference:
+    """The matrix-form swarm against the per-particle loop it replaced."""
+
+    @pytest.mark.parametrize("mode", ["static", "dynamic"])
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_same_path_fitness_and_trace_bits(self, mode, data):
+        case = data.draw(pso_cases(mode))
+        # same result, and the same population bytes at every step
+        assert optimizer_outcome(run_pso, "evaluate", *case) == \
+            optimizer_outcome(reference_run_pso, "reference_evaluate", *case)
