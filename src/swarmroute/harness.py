@@ -174,8 +174,7 @@ def brute_force_best(network: Network, source, destination, cap=DEFAULT_ORACLE_C
         raise OracleTooLarge(f"{n} nodes exceeds the enumeration cap {cap}")
     source, destination = int(source), int(destination)
     check_endpoints(n, source, destination)
-    rows = [[(nb, network.bandwidth(node, nb)) for nb in network.neighbors(node)]
-            for node in range(n)]
+    rows = [[(nb, bw) for nb, bw in enumerate(row) if bw] for row in network.bandwidths.tolist()]
     best_nodes = None
     best_fitness = -1.0  # below any fitness, which may underflow to 0.0
     on_path = [False] * n

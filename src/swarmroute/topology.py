@@ -9,8 +9,9 @@ their inputs. The `check_*` functions are the one place each network input
 rule is written; the experiment config calls them too.
 """
 
+import copy
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,83 +97,87 @@ def partition_regions(n_nodes: int) -> RegionLayout:
     return RegionLayout(n_nodes, n_regions, tuple(sizes), tuple(ranges))
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Network:
     """Undirected weighted graph over a region layout.
 
-    `links` maps id pairs (u, v) with u < v to a finite, positive bandwidth.
-    Derived once at construction from the normalized links: the sorted
-    neighbor tuples, the sorted links' end arrays, a dense n x n
-    `bandwidths` matrix (0.0 where there is no link), and an empty
-    `move_tables` cache that `encoding` fills. Instances are treated as
-    immutable values: operations that change bandwidths return new
-    networks, which share every part derived from the link set with their
-    parent.
+    `bandwidths` is the network: a read-only, symmetric n x n matrix holding
+    each link's finite, positive bandwidth at [u, v] and [v, u], and 0.0
+    where there is no link. Derived once per link set: the sorted links' end
+    arrays and an empty `move_tables` cache that `encoding` fills. Instances
+    are treated as immutable values: operations that change bandwidths
+    return new networks, which share what is derived from the link set with
+    their parent.
     """
 
     layout: RegionLayout
-    links: dict[tuple[int, int], float]
+    bandwidths: np.ndarray = field(repr=False)
     seed: int
     bandwidth_range: tuple[float, float] | None = None
-    _neighbors: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    _link_ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    bandwidths: np.ndarray = field(init=False, repr=False, compare=False)
-    move_tables: dict = field(init=False, repr=False, compare=False)
+    _link_ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    move_tables: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.layout.n_nodes
-        normalized = {}
-        neighbor_sets = {node: [] for node in range(n)}
-        for (u, v), bw in self.links.items():
-            u, v = int(u), int(v)
+        bw = np.array(self.bandwidths, dtype=float)
+        if not (bw.shape == (n, n) and np.isfinite(bw).all() and (bw >= 0).all()
+                and (bw == bw.T).all() and not bw.diagonal().any()):
+            raise ValueError(f"bandwidths must be a symmetric {n} x {n} matrix of finite, "
+                             "non-negative values with a zero diagonal")
+        bw.flags.writeable = False
+        self.bandwidths = bw
+        self._link_ends = np.nonzero(np.triu(bw))  # row-major, so sorted by (u, v)
+        self.move_tables = {}
+
+    def __eq__(self, other):
+        return (isinstance(other, Network) and self.layout == other.layout
+                and self.seed == other.seed and self.bandwidth_range == other.bandwidth_range
+                and np.array_equal(self.bandwidths, other.bandwidths))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.layout.n_nodes
+
+    @property
+    def links(self) -> dict[tuple[int, int], float]:
+        """{(u, v): bandwidth} with u < v, in sorted order; a new dict per read."""
+        u, v = self._link_ends
+        return dict(zip(zip(u.tolist(), v.tolist()), self.bandwidths[u, v].tolist()))
+
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        if not 0 <= node < self.n_nodes:
+            raise KeyError(node)
+        return tuple(np.flatnonzero(self.bandwidths[node]).tolist())
+
+    def has_link(self, u: int, v: int) -> bool:
+        return 0 <= min(u, v) and max(u, v) < self.n_nodes and bool(self.bandwidths[u, v] > 0)
+
+    def bandwidth(self, u: int, v: int) -> float:
+        if not self.has_link(u, v):
+            raise KeyError((min(u, v), max(u, v)))
+        return float(self.bandwidths[u, v])
+
+    @classmethod
+    def from_links(cls, n_nodes, links, seed=0, bandwidth_range=None):
+        """Build from (u, v) or (u, v, bandwidth) tuples; default bandwidth 1.0.
+        Rejects self-loops, unknown nodes, bad bandwidths and repeated links."""
+        layout = partition_regions(n_nodes)
+        n = layout.n_nodes
+        matrix = np.zeros((n, n))
+        for item in links:
+            u, v = int(item[0]), int(item[1])
+            bw = item[2] if len(item) > 2 else 1.0
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"link ({u}, {v}) outside node range 0..{n - 1}")
             if not (math.isfinite(bw) and bw > 0):
                 raise ValueError(f"bandwidth {bw} on link ({u}, {v}) is not finite and positive")
-            if u > v:
-                u, v = v, u
-            if (u, v) in normalized:
+            u, v = min(u, v), max(u, v)
+            if matrix[u, v]:
                 raise ValueError(f"duplicate link ({u}, {v})")
-            normalized[(u, v)] = float(bw)
-            neighbor_sets[u].append(v)
-            neighbor_sets[v].append(u)
-        self.links = normalized
-        self._neighbors = {node: tuple(sorted(nbrs)) for node, nbrs in neighbor_sets.items()}
-        keys = sorted(normalized)
-        self._link_ends = tuple(np.array(keys, dtype=np.intp).reshape(-1, 2).T)
-        self._set_bandwidths([normalized[key] for key in keys])
-        self.move_tables = {}
-
-    def _set_bandwidths(self, values):
-        """Fill `bandwidths` from one value per link, in sorted (u, v) order."""
-        u, v = self._link_ends
-        self.bandwidths = np.zeros((self.n_nodes, self.n_nodes))
-        self.bandwidths[u, v] = self.bandwidths[v, u] = values
-        self.bandwidths.flags.writeable = False
-
-    @property
-    def n_nodes(self) -> int:
-        return self.layout.n_nodes
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._neighbors[node]
-
-    def has_link(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.links
-
-    def bandwidth(self, u: int, v: int) -> float:
-        return self.links[(min(u, v), max(u, v))]
-
-    @classmethod
-    def from_links(cls, n_nodes, links, seed=0, bandwidth_range=None):
-        """Build from (u, v) or (u, v, bandwidth) tuples; default bandwidth 1.0."""
-        table = {}
-        for item in links:
-            u, v = item[0], item[1]
-            table[(u, v)] = item[2] if len(item) > 2 else 1.0
-        return cls(layout=partition_regions(n_nodes), links=table, seed=int(seed),
+            matrix[u, v] = matrix[v, u] = bw
+        return cls(layout=layout, bandwidths=matrix, seed=int(seed),
                    bandwidth_range=bandwidth_range)
 
     def to_json(self) -> dict:
@@ -181,8 +186,7 @@ class Network:
             "pn": self.layout.n_nodes,
             "a": self.layout.n_regions,
             "sizes": list(self.layout.sizes),
-            "links": [{"u": u, "v": v, "bandwidth": self.links[(u, v)]}
-                      for u, v in sorted(self.links)],
+            "links": [{"u": u, "v": v, "bandwidth": bw} for (u, v), bw in self.links.items()],
             "seed": self.seed,
             "bandwidth_range": (None if self.bandwidth_range is None
                                 else list(self.bandwidth_range)),
@@ -194,14 +198,14 @@ class Network:
         layout = partition_regions(int(data["pn"]))
         if layout.n_regions != data["a"] or list(layout.sizes) != list(data["sizes"]):
             raise ValueError("region metadata does not match the node count")
-        links = {(int(l["u"]), int(l["v"])): float(l["bandwidth"]) for l in data["links"]}
+        links = [(l["u"], l["v"], float(l["bandwidth"])) for l in data["links"]]
         bandwidth_range = data.get("bandwidth_range")
         if bandwidth_range is not None:
             b_min, b_max = (float(b) for b in bandwidth_range)
             check_bandwidth_range(b_min, b_max, layout.n_nodes)
             bandwidth_range = (b_min, b_max)
-        return cls(layout=layout, links=links, seed=int(data["seed"]),
-                   bandwidth_range=bandwidth_range)
+        return cls.from_links(layout.n_nodes, links, seed=int(data["seed"]),
+                              bandwidth_range=bandwidth_range)
 
 
 def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,
@@ -223,23 +227,22 @@ def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,
     check_densities(intra_density, inter_density)
     layout = partition_regions(n_nodes)
     gen = make_rng(seed, TOPOLOGY)
-    links: dict[tuple[int, int], float] = {}
+    adjacency = np.zeros((layout.n_nodes, layout.n_nodes), dtype=bool)
 
     if ensure_connected:
         order = gen.permutation(layout.n_nodes)
         for i in range(1, layout.n_nodes):
             u = int(order[i])
             v = int(order[int(gen.integers(0, i))])
-            links[(min(u, v), max(u, v))] = 1.0
+            adjacency[u, v] = True
 
     region = np.repeat(np.arange(layout.n_regions), layout.sizes)
     iu, iv = np.triu_indices(layout.n_nodes, k=1)
     probs = np.where(region[iu] == region[iv], intra_density, inter_density)
     hits = gen.random(iu.size) < probs
-    for u, v in zip(iu[hits].tolist(), iv[hits].tolist()):
-        links.setdefault((u, v), 1.0)
+    adjacency[iu[hits], iv[hits]] = True
 
-    return Network(layout=layout, links=links, seed=int(seed))
+    return Network(layout=layout, bandwidths=adjacency | adjacency.T, seed=int(seed))
 
 
 def assign_bandwidths(network: Network, seed, b_min=DEFAULT_BANDWIDTH_RANGE[0],
@@ -268,20 +271,16 @@ def perturb_bandwidths(network: Network, seed, iteration: int, mode="dynamic") -
 def _draw_bandwidths(network, gen, b_min, b_max):
     """Copy of `network` with one uniform [b_min, b_max] draw per link, in (u, v) order.
 
-    Only the bandwidth data is new: the link set is unchanged, so the copy
-    shares its parent's layout, neighbors, link ends and move tables and
-    is not re-validated. Fields are set one by one in field order, as
-    construction sets them; `copy.copy` would give the copy a materialized
-    `__dict__`, which makes every attribute read on it slower.
+    Only the bandwidth matrix is new. The link set is unchanged, so the copy
+    shares its parent's link ends and move tables and is not re-validated.
     """
     u, v = network._link_ends
-    draws = gen.uniform(b_min, b_max, size=u.size)
-    out = object.__new__(Network)
-    for f in fields(Network):
-        setattr(out, f.name, getattr(network, f.name))
-    out.links = dict(zip(zip(u.tolist(), v.tolist()), draws.tolist()))
+    bandwidths = np.zeros_like(network.bandwidths)
+    bandwidths[u, v] = bandwidths[v, u] = gen.uniform(b_min, b_max, size=u.size)
+    bandwidths.flags.writeable = False
+    out = copy.copy(network)
+    out.bandwidths = bandwidths
     out.bandwidth_range = (float(b_min), float(b_max))
-    out._set_bandwidths(draws)
     return out
 
 

@@ -39,9 +39,13 @@ class TestPathFitness:
         with pytest.raises(InvalidPath):
             path_fitness(diamond_net, Path((0,)))
 
-    def test_missing_link_rejected(self, diamond_net):
+    # -1 would index node 3 of the matrix, which node 1 links to
+    @pytest.mark.parametrize("nodes", [(0, 3), (0, -1), (1, -1), (0, 4)],
+                             ids=["unlinked", "negative-node", "negative-wraps-to-link",
+                                  "node-past-end"])
+    def test_missing_link_rejected(self, diamond_net, nodes):
         with pytest.raises(InvalidPath):
-            path_fitness(diamond_net, Path((0, 3)))
+            path_fitness(diamond_net, Path(nodes))
 
     def test_matches_oracle_on_random_paths(self):
         from swarmroute import decode, random_priorities

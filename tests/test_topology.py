@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -161,8 +162,10 @@ class TestPerturbBandwidths:
         assert list(out.links) == sorted(net.links)
         assert out.move_tables is net.move_tables
         assert out.neighbors(3) == net.neighbors(3)
-        assert out == Network(layout=net.layout, links=out.links, seed=net.seed,
-                              bandwidth_range=net.bandwidth_range)
+        assert out._link_ends is net._link_ends
+        links = [(u, v, bw) for (u, v), bw in out.links.items()]
+        assert out == Network.from_links(net.n_nodes, links, seed=net.seed,
+                                         bandwidth_range=net.bandwidth_range)
         assert (out.bandwidths != net.bandwidths).any()
         assert all(out.bandwidths[v, u] == bw for (u, v), bw in out.links.items())
 
@@ -197,16 +200,55 @@ class TestNetworkValue:
         with pytest.raises(ValueError):
             Network.from_links(4, [(0, 1), (1, 0)])
 
+    def test_rejects_repeated_link(self):
+        with pytest.raises(ValueError, match="duplicate link"):
+            Network.from_links(4, [(0, 1, 2.0), (0, 1, 3.0)])
+        data = Network.from_links(4, [(0, 1, 2.0)]).to_json()
+        data["links"].append(dict(data["links"][0]))
+        with pytest.raises(ValueError, match="duplicate link"):
+            Network.from_json(data)
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((4, 5)),
+        np.triu(np.ones((4, 4)), k=1),  # one direction only
+        np.eye(4),
+        -(np.ones((4, 4)) - np.eye(4)),
+        np.full((4, 4), math.nan),
+    ])
+    def test_rejects_bad_matrix(self, bad):
+        with pytest.raises(ValueError, match="symmetric 4 x 4"):
+            Network(layout=partition_regions(4), bandwidths=bad, seed=0)
+
     def test_matrices_mirror_links(self):
-        net = Network.from_links(5, [(3, 0, 2.5), (1, 2, 4.0)])
+        # reversed pairs, given in unsorted order, come out as sorted u < v links
+        small = Network.from_links(5, [(3, 0, 2.5), (4, 1, 1.5), (1, 2, 4.0)])
+        assert list(small.links.items()) == [((0, 3), 2.5), ((1, 2), 4.0), ((1, 4), 1.5)]
         expected = np.zeros((5, 5))
         expected[0, 3] = expected[3, 0] = 2.5
         expected[1, 2] = expected[2, 1] = 4.0
-        assert np.array_equal(net.bandwidths, expected)
-        net = build_network(21, seed=2)
-        assert all(net.bandwidths[u, v] == net.bandwidths[v, u] == bw
-                   for (u, v), bw in net.links.items())
-        assert np.count_nonzero(net.bandwidths) == 2 * len(net.links)
+        expected[1, 4] = expected[4, 1] = 1.5
+        assert np.array_equal(small.bandwidths, expected)
+        assert [small.neighbors(u) for u in range(5)] == [(3,), (2, 4), (1,), (0,), (1,)]
+        for net in (small, build_network(21, seed=2)):
+            links = net.links
+            assert all(net.bandwidths[u, v] == net.bandwidths[v, u] == bw
+                       for (u, v), bw in links.items())
+            assert np.count_nonzero(net.bandwidths) == 2 * len(links)
+            assert {(u, v) for u in range(net.n_nodes)
+                    for v in net.neighbors(u) if u < v} == set(links)
+            assert [(l["u"], l["v"], l["bandwidth"]) for l in net.to_json()["links"]] == [
+                (u, v, bw) for (u, v), bw in links.items()]
+
+    @pytest.mark.parametrize("node", [-1, 5, -6])
+    def test_nodes_outside_range_have_no_links(self, node):
+        # -1 would index node 4 of the matrix, which is linked to node 1
+        net = Network.from_links(5, [(1, 4, 2.0), (0, 3)])
+        for u, v in [(1, node), (node, 1)]:
+            assert net.has_link(u, v) is False
+            with pytest.raises(KeyError):
+                net.bandwidth(u, v)
+        with pytest.raises(KeyError):
+            net.neighbors(node)
 
     def test_neighbors_sorted(self):
         net = Network.from_links(5, [(0, 3), (0, 1), (0, 2)])
@@ -233,6 +275,20 @@ class TestNetworkValue:
         # the loaded network carries its range, so it can run in dynamic mode
         assert perturb_bandwidths(back, seed=3, iteration=2) == perturb_bandwidths(
             net, seed=3, iteration=2)
+
+    def test_large_n_json_is_pinned(self):
+        # sha256 of json.dumps(to_json()), computed at commit 42e3ea3, when networks
+        # still stored a links dict: pins link order, draw order and float bits
+        expected = {
+            "n64": "ca70f8f26fe35a75029a8fdc38a9f9b09cd6f1baed0ce68807b450442d7bb5f3",
+            "n256": "31f92edd7ba9365b757cdbd1692da429e77f3a50c6493db578d5550d1e76d327",
+            "n256-resampled": "0bb6bf4994b8a638b975d25a98bd0a985208405900d4f571f8583efd17831a4b",
+        }
+        nets = {"n64": build_network(64, seed=64), "n256": build_network(256, seed=256)}
+        nets["n256-resampled"] = perturb_bandwidths(nets["n256"], 3, 2)
+        digests = {name: hashlib.sha256(json.dumps(net.to_json()).encode()).hexdigest()
+                   for name, net in nets.items()}
+        assert digests == expected
 
     def test_json_without_range_loads_unassigned(self):
         data = build_network(8, seed=1).to_json()
