@@ -10,16 +10,16 @@ backwards through the id space, except that the destination may always
 follow a node it is linked to. A decoded path scores first-link bandwidth
 over total path bandwidth.
 
-`decode` walks one vector in Python over the table's rows. `evaluate`
-decodes and scores a whole population at once: one loop over hops, each
-hop a `take` of the terminals' penalty rows, an add, an `argmax` and a
-scatter of -inf over the nodes taken. The table's sink node catches every
-walk that arrived or dead-ended, so no row needs a test of its own. The
-link bandwidths are gathered once after the loop and added left to right.
-`evaluate` returns fitnesses, routes and a reached mask, not `Path`s;
-`route_path` builds the `Path` of a route that turns out to be a best.
-`draw_population` draws a decodable initial population in blocks through
-the same loop.
+`evaluate` decodes and scores a whole population at once: one loop over
+hops, each hop a `take` of the terminals' penalty rows, an add, an
+`argmax` and a scatter of -inf over the nodes taken. The table's sink node
+catches every walk that arrived or dead-ended, so no row needs a test of
+its own. The link bandwidths are gathered once after the loop and added
+left to right. `evaluate` returns fitnesses, routes and a reached mask,
+not `Path`s; `route_path` builds the `Path` of a route that turns out to
+be a best. `draw_population` draws a decodable initial population in
+blocks through the same loop. `decode` and `draw_valid_priorities` are
+their one-row forms.
 """
 
 from dataclasses import dataclass
@@ -112,58 +112,48 @@ class DecodeParams:
 def check_endpoints(n_nodes, source, destination):
     if source == destination:
         raise InvalidConfig("source and destination must differ")
-    if not (0 <= source < n_nodes and 0 <= destination < n_nodes):  # decode's hot path
+    if not (0 <= source < n_nodes and 0 <= destination < n_nodes):
         label, node = (("destination", destination) if 0 <= source < n_nodes
                        else ("source", source))
         raise InvalidConfig(f"{label} {node} outside node range 0..{n_nodes - 1}")
 
 
-@dataclass(frozen=True)
-class MoveTable:
-    """Which nodes may follow which on a walk from one source to one destination.
-
-    successors[t] lists, in ascending id order, the nodes c that may follow
-    terminal t. penalty is (n + 1) x (n + 1): node v is index v + 1, and
-    index 0 is a sink. penalty[t + 1, c + 1] is 0.0 where c may follow t and
-    -inf elsewhere, so that adding it to priorities leaves the allowed ones
-    exact and sinks the rest; the sink's row and column are all -inf. A row
-    of candidates that is all -inf (the walk arrived or dead-ended) has its
-    first maximum at index 0, so the walk moves into the sink and stays.
-    """
-
-    successors: tuple[tuple[int, ...], ...]
-    penalty: np.ndarray
-
-
-def move_table(network, source, destination, window) -> MoveTable:
-    """The move table of (source, destination, window), cached on `network`.
+def move_table(network, source, destination, window) -> np.ndarray:
+    """The move table of (source, destination, window), cached on `network`:
+    which nodes may follow which on a walk from source to destination.
 
     Node c may follow t when they are linked and, walking toward a higher
     destination id, c trails t by less than `window` (c - t > -window), or,
     toward a lower one, leads it by less than `window` (c - t < window). The
     destination may follow every node linked to it, and nothing follows the
-    destination: the walk ends there. Networks resampled from one another
-    share the cache, since their link sets are equal; it holds the most
-    recently built table only, as every caller routes one pair per network.
+    destination: the walk ends there.
+
+    The table is a read-only (n + 1) x (n + 1) penalty matrix: node v is
+    index v + 1, and index 0 is a sink. penalty[t + 1, c + 1] is 0.0 where c
+    may follow t and -inf elsewhere, so that adding it to priorities leaves
+    the allowed ones exact and sinks the rest; the sink's row and column are
+    all -inf. A row of candidates that is all -inf (the walk arrived or
+    dead-ended) has its first maximum at index 0, so the walk moves into the
+    sink and stays. Networks resampled from one another share the cache,
+    since their link sets are equal; it holds the most recently built table
+    only, as every caller routes one pair per network.
     """
     key = (source, destination, window)
     cache = network.move_tables
-    table = cache.get(key)
-    if table is None:
+    penalty = cache.get(key)
+    if penalty is None:
         n = network.n_nodes
         ids = np.arange(n)
         ahead = ids[None, :] - ids[:, None]  # c - t
         in_window = ahead > -window if source < destination else ahead < window
         in_window[:, destination] = True
         in_window[destination] = False
-        allowed = (network.bandwidths > 0) & in_window
         penalty = np.full((n + 1, n + 1), -np.inf)
-        penalty[1:, 1:][allowed] = 0.0
+        penalty[1:, 1:][(network.bandwidths > 0) & in_window] = 0.0
         penalty.flags.writeable = False
-        table = MoveTable(tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed), penalty)
         cache.clear()
-        cache[key] = table
-    return table
+        cache[key] = penalty
+    return penalty
 
 
 def _priority_array(values, shape):
@@ -179,32 +169,22 @@ def decode(network, priorities, source, destination, params: DecodeParams | None
     """Build a path by greedily following the highest-priority eligible neighbor.
 
     Eligible means allowed by the move table and not yet on the path. Ties
-    on priority go to the lower node id; the input is never modified.
-    Raises DeadEnd when construction gets stuck, ValueError on a priority
-    vector of the wrong length or with a non-finite value.
+    on priority go to the lower node id; the input is never modified. The
+    walk is `evaluate`'s, on one row. Raises DeadEnd when construction gets
+    stuck, ValueError on a priority vector of the wrong length or with a
+    non-finite value.
     """
     n = network.n_nodes
     source, destination = int(source), int(destination)
     check_endpoints(n, source, destination)
-    priority = _priority_array(priorities, (n,)).tolist()  # plain floats keep the loop cheap
+    pri = _priority_array(priorities, (n,))
     if params is None:
         params = DecodeParams.for_network(network)
-    successors = move_table(network, source, destination, params.window).successors
-
-    path = [source]
-    on_path = {source}
-    terminal = source
-    while terminal != destination:
-        best = -1
-        for node in successors[terminal]:  # ascending, so a tie keeps the lower id
-            if node not in on_path and (best < 0 or priority[node] > priority[best]):
-                best = node
-        if best < 0:
-            raise DeadEnd(path, destination)
-        path.append(best)
-        on_path.add(best)
-        terminal = best
-    return Path(tuple(path))
+    _, (route,), (reached,) = evaluate(network, pri[None], source, destination, params)
+    path = route_path(route)
+    if not reached:
+        raise DeadEnd(path.nodes, destination)
+    return path
 
 
 def random_priorities(n_nodes, seed) -> np.ndarray:
@@ -215,18 +195,14 @@ def random_priorities(n_nodes, seed) -> np.ndarray:
 
 
 def draw_valid_priorities(network, source, destination, params: DecodeParams, rng):
-    """Draw priority vectors from `rng` until one decodes to a path.
+    """Draw priority vectors from `rng` until one decodes to a path: a
+    one-member `draw_population`, so `rng` may end a block past that vector.
 
     Returns (priorities, path). Raises NoPathFound once MAX_DRAWS draws
     have all dead-ended.
     """
-    for _ in range(MAX_DRAWS):
-        pri = rng.random(network.n_nodes)
-        try:
-            return pri, decode(network, pri, source, destination, params)
-        except DeadEnd:
-            continue
-    raise NoPathFound(source, destination, attempts=MAX_DRAWS)
+    vectors, _, routes = draw_population(network, 1, source, destination, params, rng)
+    return vectors[0], route_path(routes[0])
 
 
 def path_fitness(network, path: Path) -> float:
@@ -255,17 +231,18 @@ def evaluate(network, vectors, source, destination, dparams: DecodeParams):
     routes[i] is row i's walk: the source, then each node appended, padded
     with -1 (see `route_path`); reached[i] is whether the walk ended at the
     destination. A row that dead-ends scores 0.0 and its walk is the partial
-    path `decode` reports. Same paths as `decode` row by row; each fitness
-    adds the path's link bandwidths left to right as `path_fitness` does,
-    so it is the same float.
+    path `decode` reports. The tests pin the paths, dead ends and fitness
+    bits to the per-vector reference decoder in `tests/conftest.py`; each
+    fitness adds the path's link bandwidths left to right as `path_fitness`
+    does, so it is the same float.
     """
     n = network.n_nodes
     source, destination = int(source), int(destination)
     check_endpoints(n, source, destination)
     pri = _priority_array(vectors, (len(vectors), n))
-    penalty = move_table(network, source, destination, dparams.window).penalty
+    penalty = move_table(network, source, destination, dparams.window)
 
-    # Node v is column v + 1 and column 0 is the sink (see MoveTable).
+    # Node v is column v + 1 and column 0 is the sink (see move_table).
     rows = len(pri)
     scores = np.empty((rows, n + 1))  # a row's priorities, -inf once the node is on its path
     scores[:, 0] = -np.inf

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .rng import BANDWIDTH, PERTURB, TOPOLOGY, make_rng
+from .rng import BANDWIDTH, PERTURB, TOPOLOGY, check_seed, make_rng
 
 DEFAULT_INTRA_DENSITY = 0.6
 DEFAULT_INTER_DENSITY = 0.15
@@ -168,14 +168,15 @@ class Network:
             u, v = int(item[0]), int(item[1])
             bw = item[2] if len(item) > 2 else 1.0
             if u == v:
-                raise ValueError(f"self-loop at node {u}")
+                raise InvalidConfig(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"link ({u}, {v}) outside node range 0..{n - 1}")
+                raise InvalidConfig(f"link ({u}, {v}) outside node range 0..{n - 1}")
             if not (math.isfinite(bw) and bw > 0):
-                raise ValueError(f"bandwidth {bw} on link ({u}, {v}) is not finite and positive")
+                raise InvalidConfig(
+                    f"bandwidth {bw} on link ({u}, {v}) is not finite and positive")
             u, v = min(u, v), max(u, v)
             if matrix[u, v]:
-                raise ValueError(f"duplicate link ({u}, {v})")
+                raise InvalidConfig(f"duplicate link ({u}, {v})")
             matrix[u, v] = matrix[v, u] = bw
         return cls(layout=layout, bandwidths=matrix, seed=int(seed),
                    bandwidth_range=bandwidth_range)
@@ -194,18 +195,38 @@ class Network:
 
     @classmethod
     def from_json(cls, data: dict) -> "Network":
-        """Inverse of to_json; a form without `bandwidth_range` loads with None."""
-        layout = partition_regions(int(data["pn"]))
-        if layout.n_regions != data["a"] or list(layout.sizes) != list(data["sizes"]):
-            raise ValueError("region metadata does not match the node count")
-        links = [(l["u"], l["v"], float(l["bandwidth"])) for l in data["links"]]
-        bandwidth_range = data.get("bandwidth_range")
-        if bandwidth_range is not None:
-            b_min, b_max = (float(b) for b in bandwidth_range)
-            check_bandwidth_range(b_min, b_max, layout.n_nodes)
-            bandwidth_range = (b_min, b_max)
-        return cls.from_links(layout.n_nodes, links, seed=int(data["seed"]),
-                              bandwidth_range=bandwidth_range)
+        """Inverse of to_json; a form without `bandwidth_range` loads with None.
+        A malformed document (a missing key, a wrong type, a non-integer node
+        count, node id or seed, a negative seed) raises InvalidConfig."""
+        try:
+            layout = partition_regions(_json_field(data, "pn"))
+            if layout.n_regions != data["a"] or list(layout.sizes) != list(data["sizes"]):
+                raise InvalidConfig("region metadata does not match the node count")
+            links = [(_json_field(l, "u"), _json_field(l, "v"),
+                      float(_json_field(l, "bandwidth", (int, float)))) for l in data["links"]]
+            seed = _json_field(data, "seed")
+            check_seed(seed)
+            bandwidth_range = data.get("bandwidth_range")
+            if bandwidth_range is not None:
+                b_min, b_max = (float(b) for b in bandwidth_range)
+                check_bandwidth_range(b_min, b_max, layout.n_nodes)
+                bandwidth_range = (b_min, b_max)
+            return cls.from_links(layout.n_nodes, links, seed=seed,
+                                  bandwidth_range=bandwidth_range)
+        except InvalidConfig:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidConfig(f"malformed network JSON: {exc!r}") from None
+
+
+def _json_field(obj, key, types=(int,)):
+    """obj[key], which must be a JSON value of one of `types`: an integer
+    field rejects 2.0 and true, a number field rejects "2.0"."""
+    value = obj[key]
+    if type(value) not in types:
+        raise InvalidConfig(f"{key} must be {' or '.join(t.__name__ for t in types)}, "
+                            f"got {value!r}")
+    return value
 
 
 def generate_topology(n_nodes, seed, intra_density=DEFAULT_INTRA_DENSITY,

@@ -23,7 +23,7 @@ COMPLETE_64 = complete_network(64)
 def allowed_moves(net, source, destination, window):
     """allowed[t, c]: whether c may follow terminal t, read off the move
     table's penalty (whose index 0 is the sink, node v index v + 1)."""
-    return move_table(net, source, destination, window).penalty[1:, 1:] == 0
+    return move_table(net, source, destination, window)[1:, 1:] == 0
 
 
 def evaluate_paths(net, vectors, source, destination, dparams):
@@ -67,11 +67,11 @@ class TestHeuristicAllows:
 
 class TestEligibleNeighbors:
     """Which nodes may be appended next: the terminal's move-table row minus
-    the nodes already on the path (what `decode` reads each hop)."""
+    the nodes already on the path (what `evaluate` reads each hop)."""
 
     def eligible(self, net, path, source, destination, window=5):
-        successors = move_table(net, source, destination, window).successors
-        return {node for node in successors[path[-1]] if node not in path}
+        row = move_table(net, source, destination, window)[path[-1] + 1, 1:]
+        return {node for node in np.flatnonzero(row == 0).tolist() if node not in path}
 
     def test_destination_sole_neighbor(self):
         net = Network.from_links(4, [(0, 1), (1, 3), (2, 3)])
@@ -100,16 +100,14 @@ class TestEligibleNeighbors:
 
 class TestMoveTable:
     def test_successors_match_allowed_rows(self, small_net):
-        table = move_table(small_net, 11, 0, 4)
         allowed = allowed_moves(small_net, 11, 0, 4)
-        assert table.successors == tuple(tuple(np.flatnonzero(row)) for row in allowed)
         assert not (allowed & (small_net.bandwidths == 0)).any()
-        assert set(np.unique(table.penalty)) == {0.0, -np.inf}
+        assert set(np.unique(move_table(small_net, 11, 0, 4))) == {0.0, -np.inf}
 
     def test_sink_row_and_column_are_closed(self, small_net):
         # nothing leads into the sink and nothing leaves it: a walk enters it
         # only when all of its real candidates are -inf, through argmax's first index
-        penalty = move_table(small_net, 0, 11, 4).penalty
+        penalty = move_table(small_net, 0, 11, 4)
         assert penalty.shape == (13, 13)
         assert np.all(penalty[0] == -np.inf) and np.all(penalty[:, 0] == -np.inf)
 
@@ -118,7 +116,7 @@ class TestMoveTable:
         assert move_table(small_net, 0, 11, 4) is table
         assert move_table(perturb_bandwidths(small_net, seed=1, iteration=2), 0, 11, 4) is table
         assert move_table(small_net, 0, 11, 3) is not table
-        assert not table.penalty.flags.writeable
+        assert not table.flags.writeable
 
     def test_cache_holds_the_latest_table(self, small_net):
         move_table(small_net, 0, 11, 4)
@@ -170,6 +168,21 @@ class TestDecode:
     def test_wrong_length_rejected(self, line_net):
         with pytest.raises(ValueError):
             decode(line_net, [0.1] * 5, 0, 3)
+
+    @pytest.mark.parametrize("priorities,source,destination,error,message", [
+        ([0.1] * 3, 0, 0, InvalidConfig, "source and destination must differ"),
+        ([0.1] * 3, 9, 3, InvalidConfig, "source 9 outside node range 0..3"),
+        ([0.1] * 3, 0, 3, ValueError, "priority shape (3,) does not match 4 nodes"),
+        ([0.1, float("nan"), 0.1, 0.1], 0, 3, ValueError,
+         "priorities must be finite (no NaN or infinity)"),
+    ], ids=["same-endpoints", "source-out-of-range", "wrong-length", "nan"])
+    def test_endpoints_checked_before_priorities(self, priorities, source, destination, error,
+                                                 message):
+        net = Network.from_links(4, [(0, 1), (1, 3)])
+        with pytest.raises(error) as exc:
+            decode(net, priorities, source, destination)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     def test_tie_breaks_to_lower_id(self):
         net = Network.from_links(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from swarmroute import (InvalidBandwidthRange, InvalidNodeCount, Network,
+from swarmroute import (InvalidBandwidthRange, InvalidConfig, InvalidNodeCount, Network,
                         assign_bandwidths, build_network, generate_topology, partition_regions,
                         perturb_bandwidths)
 
@@ -309,6 +309,35 @@ class TestNetworkValue:
         a = assign_bandwidths(generate_topology(12, seed=2), seed=2)
         b = assign_bandwidths(generate_topology(12, seed=2), seed=2)
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["links"][0].update(u=d["links"][0]["u"] + 0.5),
+        lambda d: d["links"][0].update(v=True),
+        lambda d: d.update(pn=d["pn"] + 0.7),
+        lambda d: d.update(pn="8"),
+        lambda d: d.update(seed=2.7),
+        lambda d: d.update(seed=-3),
+        lambda d: d.pop("seed"),
+        lambda d: d["links"][0].pop("bandwidth"),
+        lambda d: d.update(links=None),
+        lambda d: d["links"].append([0, 1, 2.0]),
+        lambda d: d["links"][0].update(bandwidth=None),
+        lambda d: d["links"][0].update(bandwidth=str(d["links"][0]["bandwidth"])),
+        lambda d: d.update(sizes=8),
+        lambda d: d.update(bandwidth_range=[1.0]),
+    ], ids=["u-fraction", "v-bool", "pn-fraction", "pn-string", "seed-fraction",
+            "seed-negative", "no-seed", "no-bandwidth", "links-null", "link-as-list",
+            "bandwidth-null", "bandwidth-string", "sizes-int", "range-one-value"])
+    def test_from_json_rejects_malformed(self, edit):
+        data = json.loads(json.dumps(build_network(8, seed=1).to_json()))
+        edit(data)
+        with pytest.raises(InvalidConfig):
+            Network.from_json(data)
+
+    @pytest.mark.parametrize("data", [None, [], "network"], ids=["null", "list", "string"])
+    def test_from_json_rejects_a_non_object(self, data):
+        with pytest.raises(InvalidConfig):
+            Network.from_json(data)
 
     def test_from_json_rejects_bad_region_metadata(self):
         data = assign_bandwidths(generate_topology(8, seed=1), seed=1).to_json()
