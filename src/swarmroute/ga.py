@@ -9,6 +9,13 @@ swaps two gene positions (arbitrary or adjacent).
 The population is a P x n matrix. `_exchange` (crossover) and `_swap_genes`
 (mutation) are the operators' one definition: the public single-pair
 operators call them, and so does `run_ga` on the rows of a generation.
+
+A generation's operator decisions are many scalar draws (about 80 for a
+population of 40), so `run_ga` decodes them from the raw words of the
+generation's stream with `rng.Words` rather than calling numpy's
+`Generator` once per draw: the values, and so the output, are the same.
+Selection and the initial population keep their vectorized `Generator`
+calls.
 """
 
 import time
@@ -18,7 +25,7 @@ import numpy as np
 
 from .encoding import DecodeParams, Path, draw_population, evaluate, route_path
 from .errors import InvalidConfig
-from .rng import GA_INIT, GA_OPS, GA_SELECT, make_rng
+from .rng import GA_INIT, GA_OPS, GA_SELECT, Words, make_rng
 from .topology import Network
 
 
@@ -182,7 +189,13 @@ def run_ga(network: Network, source, destination, params: GaParams, seed) -> GaR
 
     The population is one pop_size x n matrix. Each generation draws its
     operator decisions pair by pair, child by child, then applies every
-    crossover and every mutation to the gathered parent rows at once.
+    crossover and every mutation to the gathered parent rows at once. The
+    decisions come from `Words` over the generation's GA_OPS stream:
+    `double()` for each probability test, `below(n)` for a cut (two for a
+    two-point crossover), `below(n - 1)` for an adjacent swap's position
+    and `two_of(n)` for a swap's positions. These are the values that
+    `Generator.random()`, `integers(1, m + 1) - 1` and
+    `choice(n, 2, replace=False)` draw from the same stream.
     """
     t0 = time.perf_counter()
     source, destination = int(source), int(destination)
@@ -200,25 +213,26 @@ def run_ga(network: Network, source, destination, params: GaParams, seed) -> GaR
     n_pairs = (params.pop_size - offset + 1) // 2
 
     for k in range(1, params.kmax + 1):
-        sel_gen = make_rng(seed, GA_SELECT, k)
-        op_gen = make_rng(seed, GA_OPS, k)
-        parents = _roulette(sel_gen, fits, n_pairs)
+        parents = _roulette(make_rng(seed, GA_SELECT, k), fits, n_pairs)
+        # A pair takes three doubles and, at the paper's operator rates, less
+        # than one more word on average; Words fetches more when it runs out.
+        words = Words(make_rng(seed, GA_OPS, k).bit_generator, chunk=4 * n_pairs)
 
         lo, hi = [0] * n_pairs, [0] * n_pairs  # 0-indexed columns lo..hi-1 cross over
         mutations = []  # (row, i, j): swap genes i and j of the row
         for pair in range(n_pairs):
-            if op_gen.random() < params.crossover_prob:
+            if words.double() < params.crossover_prob:
                 if one_point:
-                    lo[pair], hi[pair] = int(op_gen.integers(1, n + 1)) - 1, n
+                    lo[pair], hi[pair] = words.below(n), n
                 else:
-                    a, b = sorted(op_gen.integers(1, n + 1, size=2).tolist())
-                    lo[pair], hi[pair] = a - 1, b
+                    a, b = sorted((words.below(n), words.below(n)))
+                    lo[pair], hi[pair] = a, b + 1
             for row in (offset + 2 * pair, offset + 2 * pair + 1):
-                if op_gen.random() < params.mutation_prob:
+                if words.double() < params.mutation_prob:
                     if swap:
-                        i, j = sorted(op_gen.choice(n, size=2, replace=False).tolist())
+                        i, j = sorted(words.two_of(n))
                     else:
-                        i = int(op_gen.integers(1, n)) - 1
+                        i = words.below(n - 1)
                         j = i + 1
                     mutations.append((row, i, j))
 

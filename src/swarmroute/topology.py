@@ -160,7 +160,9 @@ class Network:
     @classmethod
     def from_links(cls, n_nodes, links, seed=0, bandwidth_range=None):
         """Build from (u, v) or (u, v, bandwidth) tuples; default bandwidth 1.0.
-        Rejects self-loops, unknown nodes, bad bandwidths and repeated links."""
+        Rejects self-loops, unknown nodes, bad bandwidths, repeated links and
+        a seed `check_seed` rejects."""
+        check_seed(seed)
         layout = partition_regions(n_nodes)
         n = layout.n_nodes
         matrix = np.zeros((n, n))
@@ -205,7 +207,6 @@ class Network:
             links = [(_json_field(l, "u"), _json_field(l, "v"),
                       float(_json_field(l, "bandwidth", (int, float)))) for l in data["links"]]
             seed = _json_field(data, "seed")
-            check_seed(seed)
             bandwidth_range = data.get("bandwidth_range")
             if bandwidth_range is not None:
                 b_min, b_max = (float(b) for b in bandwidth_range)
